@@ -1,13 +1,16 @@
 """Structural analysis of valid q=2 edge colourings against a perfect matching.
 
-The pipeline has four stages, each usable on its own:
+The pipeline has four stages.  Each builds its structures once and hands
+them to the next:
 
 1. :func:`decompose` — split a colouring into matching / non-matching
-   colours and locate every class inside the graph minus the matching.
+   colours, locate every class inside the graph minus the matching, and
+   map each class vertex to its class.
 2. :func:`build_cascading_sequence` — grow the rooted forests that
-   connect the non-matching classes of each component.
-3. :func:`collect_repetition_pairs` — extract one vertex pair per tree
-   leaf and classify the paired matching colours.
+   connect the non-matching classes of each component, ordering each tree
+   and extracting its pairs (one per leaf) as it is grown.
+3. :func:`collect_repetition_pairs` — record the pairs the sequence
+   carries, check them, and classify the paired matching colours.
 4. :func:`verify_bound_chain` — check every counting relation with
    exact rationals and report the certified colour/ratio statistics.
 

@@ -141,10 +141,6 @@ def verify_bound_chain(
     n_low_small = len(rp.low_small)
     total_pairs = len(rp.records)
 
-    class_vertices: set[int] = set()
-    for j in dec.non_matching_colours:
-        class_vertices |= dec.colour_class(j).vertices()
-
     entries: list[BoundEntry] = []
 
     entries.append(_entry("matching_colour_budget", cm, msize - total_rp, "<="))
@@ -185,21 +181,14 @@ def verify_bound_chain(
     bad = sum(1 for r in matched_records if len(r.path) < 3)
     entries.append(_entry("matched_pair_interior", bad, 0, "=="))
 
-    bad = 0
-    for r in rp.records:
-        if any(x in class_vertices for x in r.path[1:-1]):
-            bad += 1
+    bad = sum(
+        1 for r in rp.records if any(x in dec.vertex_class for x in r.path[1:-1])
+    )
     entries.append(_entry("pair_interior_free", bad, 0, "=="))
 
-    bad = 0
-    recs = rp.records
-    for i, r1 in enumerate(recs):
-        for r2 in recs[i + 1 :]:
-            if r1.colour == r2.colour:
-                continue
-            if set(r1.path[1:-1]) & set(r2.path[1:-1]):
-                bad += 1
-    entries.append(_entry("cross_colour_interior_disjoint", bad, 0, "=="))
+    entries.append(
+        _entry("cross_colour_interior_disjoint", rp.interior_clashes, 0, "==")
+    )
 
     entries.append(
         _entry("total_vs_matching_repetition", c, msize - total_rp + cn, "<=")

@@ -10,7 +10,7 @@ between them hangs off this decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..colouring import EdgeColouring, validate
 from ..graph import Component, EdgeSubset, Graph, components
@@ -59,7 +59,9 @@ class ColourDecomposition:
     ``gm_components`` are the edge-containing components C_1..C_h of the graph
     minus the matching, in min-vertex order; ``component_colours[i]`` lists
     the non-matching colours whose class lies inside C_i (so ``k[i]`` is its
-    length); ``mcl[v]`` is the colour of the matching edge at v.
+    length); ``mcl[v]`` is the colour of the matching edge at v;
+    ``vertex_class[v]`` is the non-matching colour whose class holds v, for
+    every vertex of such a class.
     """
 
     graph: Graph
@@ -70,6 +72,7 @@ class ColourDecomposition:
     gm_components: tuple[Component, ...]
     component_colours: tuple[tuple[int, ...], ...]
     mcl: tuple[int, ...]
+    vertex_class: dict[int, int] = field(hash=False)
 
     @property
     def h(self) -> int:
@@ -156,11 +159,11 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
 
     # Validity makes distinct non-matching classes vertex-disjoint: a shared
     # vertex would see both of them plus its matching colour.
-    seen_verts: dict[int, int] = {}
+    vertex_class: dict[int, int] = {}
     for c in sorted(c_n):
         for eid in by_colour[c]:
             for v in g.edges[eid]:
-                assert seen_verts.setdefault(v, c) == c
+                assert vertex_class.setdefault(v, c) == c
     assert sum(len(cc) for cc in comp_colours) == len(c_n)
 
     mcl = matched_colour_map(col, m)
@@ -174,4 +177,5 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
         gm_components=gm_comps,
         component_colours=tuple(tuple(cc) for cc in comp_colours),
         mcl=tuple(x for x in mcl if x is not None),
+        vertex_class=vertex_class,
     )

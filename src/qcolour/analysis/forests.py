@@ -23,8 +23,9 @@ from .decompose import ColourDecomposition, UnanchoredComponentError
 class RootedTree:
     """A rooted tree on a subset of a graph's vertices.
 
-    ``postorder`` fixes the per-tree vertex order: children precede parents
-    and the root comes last, so larger index means closer to the root.
+    ``postorder`` is derived from ``children`` and fixes the per-tree vertex
+    order: children precede parents and the root comes last, so larger index
+    means closer to the root.
     """
 
     graph: Graph
@@ -32,29 +33,31 @@ class RootedTree:
     parent: dict[int, int]
     parent_edge: dict[int, int]
     children: dict[int, tuple[int, ...]]
-    postorder: tuple[int, ...]
+    postorder: tuple[int, ...] = field(init=False)
     index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        assert self.postorder[-1] == self.root
-        assert set(self.parent) == set(self.postorder) - {self.root}
-        assert set(self.parent_edge) == set(self.parent)
+        assert self.root not in self.parent
+        assert self.parent_edge.keys() == self.parent.keys()
         for v, p in self.parent.items():
-            assert v in self.children.get(p, ())
             u, w = self.graph.edges[self.parent_edge[v]]
             assert {u, w} == {v, p}
-        expect = self._postorder_of(self.root)
-        assert expect == list(self.postorder), "postorder disagrees with child order"
-        object.__setattr__(
-            self, "index", {v: i for i, v in enumerate(self.postorder)}
-        )
-
-    def _postorder_of(self, v: int) -> list[int]:
-        out: list[int] = []
-        for c in self.children.get(v, ()):
-            out.extend(self._postorder_of(c))
-        out.append(v)
-        return out
+        for p, kids in self.children.items():
+            for c in kids:
+                assert self.parent.get(c) == p, "children disagree with parent pointers"
+        post: list[int] = []
+        stack: list[tuple[int, int]] = [(self.root, 0)]
+        while stack:
+            v, i = stack.pop()
+            kids = self.children.get(v, ())
+            if i < len(kids):
+                stack.append((v, i + 1))
+                stack.append((kids[i], 0))
+            else:
+                post.append(v)
+        assert len(post) == len(self.parent) + 1, "some vertex is cut off from the root"
+        object.__setattr__(self, "postorder", tuple(post))
+        object.__setattr__(self, "index", {v: i for i, v in enumerate(post)})
 
     @classmethod
     def build(
@@ -78,16 +81,7 @@ class RootedTree:
                 children[v] = tuple(ordered)
             else:
                 children[v] = tuple(sorted(lst))
-        post: list[int] = []
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, i = stack.pop()
-            if i < len(children[v]):
-                stack.append((v, i + 1))
-                stack.append((children[v][i], 0))
-            else:
-                post.append(v)
-        return cls(graph, root, dict(parent), dict(parent_edge), children, tuple(post))
+        return cls(graph, root, dict(parent), dict(parent_edge), children)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -103,13 +97,6 @@ class RootedTree:
         return tuple(
             sorted(v for v in self.postorder if v != self.root and v not in leaf_set)
         )
-
-    def depth(self, v: int) -> int:
-        d = 0
-        while v != self.root:
-            v = self.parent[v]
-            d += 1
-        return d
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """Vertices of the unique u-v path in the tree, endpoints included."""
@@ -144,53 +131,64 @@ class RootedForestSeq:
     """A sequence of forests F_1..F_t whose consecutive members may share only
     a root-at-a-leaf vertex, with members two or more apart fully disjoint.
 
+    ``tree_pairs[i]`` holds the repetition pairs of the i-th tree of
+    :meth:`trees`, one per leaf, as :func:`tree_repetition_pairs` found them.
+
     The partial order ``preceq`` is the transitive closure of the per-tree
-    postorders, glued at shared vertices.
+    postorders, glued at shared vertices.  Each vertex sits below the root of
+    at most one tree, its *home* (a vertex that is only ever a root is at
+    home in its own tree), and each root is a leaf of at most one earlier
+    tree, its *glue*.  So ``x`` precedes ``y`` exactly when a tree on the
+    climb from x's home through the glues holds ``y`` at or above the point
+    where the climb entered it.
     """
 
     graph: Graph
     forests: tuple[tuple[RootedTree, ...], ...]
-    _reach: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
+    tree_pairs: tuple[tuple[tuple[int, int], ...], ...]
+    _trees: tuple[RootedTree, ...] = field(init=False, repr=False, compare=False)
+    _home: dict[int, int] = field(init=False, repr=False, compare=False)
+    _glue: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        succ: dict[int, set[int]] = {}
-        for forest in self.forests:
-            for tree in forest:
-                po = tree.postorder
-                for a, b in zip(po, po[1:]):
-                    succ.setdefault(a, set()).add(b)
-                succ.setdefault(po[-1], set())
-        reach: dict[int, frozenset[int]] = {}
-        for start in succ:
-            seen: set[int] = set()
-            stack = list(succ[start])
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(succ.get(x, ()))
-            assert start not in seen, "cascading order contains a cycle"
-            reach[start] = frozenset(seen)
-        object.__setattr__(self, "_reach", reach)
+        trees = tuple(tree for forest in self.forests for tree in forest)
+        rounds = [i for i, forest in enumerate(self.forests) for _ in forest]
+        assert len(self.tree_pairs) == len(trees), "one pair list per tree"
+        roots: dict[int, int] = {}
+        home: dict[int, int] = {}
+        for t, tree in enumerate(trees):
+            assert roots.setdefault(tree.root, t) == t, "two trees share a root"
+            for v in tree.postorder[:-1]:
+                assert home.setdefault(v, t) == t, "two trees share a non-root vertex"
+        glue = tuple(home.get(tree.root) for tree in trees)
+        for t, up in enumerate(glue):
+            # Glues only point back in the sequence, so the order is acyclic.
+            assert up is None or rounds[up] < rounds[t], (
+                "a root may only reuse a leaf of an earlier forest"
+            )
+        object.__setattr__(self, "_trees", trees)
+        object.__setattr__(self, "_home", roots | home)
+        object.__setattr__(self, "_glue", glue)
 
-    def trees(self):
-        for forest in self.forests:
-            yield from forest
+    def trees(self) -> tuple[RootedTree, ...]:
+        return self._trees
 
     def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for tree in self.trees():
-            out |= tree.vertices
-        return frozenset(out)
-
-    def leaf_count(self) -> int:
-        return sum(len(t.leaves()) for t in self.trees())
+        return frozenset(self._home)
 
     def preceq(self, x: int, y: int) -> bool:
-        if x == y:
-            return x in self._reach
-        return y in self._reach.get(x, frozenset())
+        t = self._home.get(x)
+        if t is None:
+            return False
+        pos = self._trees[t].index[x]
+        while True:
+            tree = self._trees[t]
+            if tree.index.get(y, -1) >= pos:
+                return True
+            t = self._glue[t]
+            if t is None:
+                return False
+            pos = self._trees[t].index[tree.root]
 
     def maximal_elements(self, vertices) -> tuple[int, ...]:
         vs = sorted(set(vertices))
@@ -198,23 +196,12 @@ class RootedForestSeq:
             x for x in vs if not any(y != x and self.preceq(x, y) for y in vs)
         )
 
-    def tree_containing(self, u: int, v: int) -> RootedTree | None:
-        """The unique tree holding both u and v, if any (two trees can share
-        at most one vertex, so for u != v it is unique)."""
-        found = None
-        for tree in self.trees():
-            if u in tree.index and v in tree.index:
-                assert found is None or u == v
-                found = tree
-                if u != v:
-                    return found
-        return found
-
 
 def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     """Construct the forest sequence realizing the leaf-count identity
-    (k_i - 1 leaves per component), then finalize each tree's vertex order via
-    the pairing construction so the order is ready for downstream checks.
+    (k_i - 1 leaves per component).  Each tree is ordered and paired by one
+    :func:`tree_repetition_pairs` call as it is grown; the sequence keeps
+    both the ordered tree and its pairs.
 
     Components are processed independently and their rounds merged
     positionally — trees from different components are vertex-disjoint, so
@@ -225,7 +212,12 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
 
     g = dec.graph
     in_matching = dec.matching.edges.members
-    per_component: list[list[list[RootedTree]]] = []
+    vertex_class = dec.vertex_class
+    class_vertices: dict[int, list[int]] = {}
+    for v, c in vertex_class.items():
+        class_vertices.setdefault(c, []).append(v)
+    # Per component, per round: the (pairs, ordered tree) of every tree grown.
+    per_component: list[list[list[tuple]]] = []
 
     for comp, colours in zip(dec.gm_components, dec.component_colours):
         if not colours:
@@ -233,18 +225,11 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
                 f"component with vertices {comp.vertices[:4]}... has no "
                 "non-matching colour class"
             )
-        class_vertices: dict[int, frozenset[int]] = {
-            c: dec.colour_class(c).vertices() for c in colours
-        }
-        vertex_class: dict[int, int] = {}
-        for c in colours:
-            for v in class_vertices[c]:
-                vertex_class[v] = c
         anchor = min(colours, key=lambda c: min(class_vertices[c]))
         visited = {anchor}
         used: set[int] = set()
         prev_leaves: list[int] = []
-        rounds: list[list[RootedTree]] = []
+        rounds: list[list[tuple]] = []
 
         while len(visited) < len(colours):
             allowed = sorted(
@@ -258,7 +243,7 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
             )
             reached: set[int] = set()
             claimed: dict[int, int] = {}
-            trees: list[RootedTree] = []
+            trees: list[tuple] = []
             for r in allowed:
                 parent: dict[int, int] = {}
                 parent_edge: dict[int, int] = {}
@@ -298,8 +283,7 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
                     {v: parent[v] for v in keep if v != r},
                     {v: parent_edge[v] for v in keep if v != r},
                 )
-                _, ordered = tree_repetition_pairs(raw, dec.colouring, dec.matching)
-                trees.append(ordered)
+                trees.append(tree_repetition_pairs(raw, dec.colouring, dec.matching))
                 claimed.update(local_claims)
                 used |= keep
             assert claimed, "cascade stalled before reaching every class"
@@ -309,11 +293,10 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
         per_component.append(rounds)
 
     depth = max((len(r) for r in per_component), default=0)
-    forests = []
+    forests: list[tuple[RootedTree, ...]] = []
+    tree_pairs: list[tuple[tuple[int, int], ...]] = []
     for i in range(depth):
-        merged: list[RootedTree] = []
-        for rounds in per_component:
-            if i < len(rounds):
-                merged.extend(rounds[i])
-        forests.append(tuple(merged))
-    return RootedForestSeq(graph=g, forests=tuple(forests))
+        merged = [found for rounds in per_component if i < len(rounds) for found in rounds[i]]
+        forests.append(tuple(tree for _, tree in merged))
+        tree_pairs.extend(pairs for pairs, _ in merged)
+    return RootedForestSeq(graph=g, forests=tuple(forests), tree_pairs=tuple(tree_pairs))

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from ..colouring import EdgeColouring
 from ..matching import Matching
 from .decompose import matched_colour_map
 from .forests import RootedForestSeq
-from .repetition import repetition_content, tree_repetition_pairs
+# tree_repetition_pairs is not called here; bench/tracing.py probes it here.
+from .repetition import repetition_content, tree_repetition_pairs  # noqa: F401
 
 __all__ = ["PairRecord", "RepetitionPairs", "collect_repetition_pairs"]
 
@@ -41,17 +43,20 @@ class PairRecord:
 class RepetitionPairs:
     """All pairs of a forest sequence, grouped and classified by colour.
 
-    ``supports[j]`` is the vertex support of colour ``j`` (both ends of
-    every pair), ``firsts``/``seconds`` the two projections,
-    ``matched_pairs[j]`` the records whose ends are matching partners,
-    and ``repetition[j]`` the repetition content of the support.  A
-    paired colour is *high* when its content reaches half the pair
-    count less the matched-pair count, otherwise *low*; ``low_large``
-    and ``low_small`` split the low colours by support size.
+    ``by_colour[j]`` lists the records of colour ``j``; ``supports[j]`` is
+    the vertex support of colour ``j`` (both ends of every pair),
+    ``firsts``/``seconds`` the two projections, ``matched_pairs[j]`` the
+    records whose ends are matching partners, and ``repetition[j]`` the
+    repetition content of the support.  A paired colour is *high* when its
+    content reaches half the pair count less the matched-pair count,
+    otherwise *low*; ``low_large`` and ``low_small`` split the low colours
+    by support size.  ``interior_clashes`` counts the record pairs of
+    different colours whose paths share an interior vertex.
     """
 
     seq: RootedForestSeq
     records: tuple[PairRecord, ...]
+    by_colour: dict[int, tuple[PairRecord, ...]] = field(hash=False)
     supports: dict[int, frozenset[int]] = field(hash=False)
     firsts: dict[int, frozenset[int]] = field(hash=False)
     seconds: dict[int, frozenset[int]] = field(hash=False)
@@ -61,17 +66,45 @@ class RepetitionPairs:
     low: frozenset[int]
     low_large: frozenset[int]
     low_small: frozenset[int]
+    interior_clashes: int
 
     @property
     def paired_colours(self) -> frozenset[int]:
         return self.high | self.low
 
     def pairs_of(self, colour: int) -> tuple[PairRecord, ...]:
-        return tuple(r for r in self.records if r.colour == colour)
+        return self.by_colour.get(colour, ())
 
     @property
     def total_repetition(self) -> int:
         return sum(self.repetition.values())
+
+
+def _interior_clashes(records: list[PairRecord]) -> int:
+    """Count the record pairs of different colours whose paths share an
+    interior vertex, in one pass over the interiors.
+
+    Asserts that matched pairs have interior-disjoint paths.  Only vertices
+    whose interiors mix colours produce candidate pairs, so on a valid
+    sequence the pass never enumerates a pair.
+    """
+    owners: dict[int, dict[int, list[int]]] = {}  # vertex -> colour -> records
+    for i, r in enumerate(records):
+        for x in r.path[1:-1]:
+            owners.setdefault(x, {}).setdefault(r.colour, []).append(i)
+    clashes: set[tuple[int, int]] = set()
+    for by_colour in owners.values():
+        through = [i for ids in by_colour.values() for i in ids]
+        assert sum(records[i].matched for i in through) <= 1, (
+            "matched pairs must have interior-disjoint paths"
+        )
+        if len(by_colour) > 1:
+            clashes.update(
+                (i, j)
+                for i, j in combinations(sorted(through), 2)
+                if records[i].colour != records[j].colour
+            )
+    return len(clashes)
 
 
 def collect_repetition_pairs(
@@ -79,13 +112,15 @@ def collect_repetition_pairs(
     col: EdgeColouring,
     m: Matching,
 ) -> RepetitionPairs:
-    """Extract, check and classify the pairs of a forest sequence.
+    """Record, check and classify the pairs a forest sequence carries.
 
-    Re-derives each tree's pairs, records their paths, and asserts the
-    structural guarantees: distinct first coordinates overall, order
-    ``u`` strictly before ``v``, equal matching colours, monochromatic
-    pair paths whose interior avoids the shared colour, and
-    interior-disjoint paths for matched pairs.
+    Reads each tree's pairs from ``seq.tree_pairs``, records their paths,
+    and asserts the structural guarantees the pairing construction does
+    not check itself: distinct first coordinates across all trees, equal
+    matching colours, monochromatic pair paths whose interior avoids the
+    shared colour, and interior-disjoint paths for matched pairs.  The
+    order of each pair is certified where the tree order is built, by
+    :func:`tree_repetition_pairs`.
     """
     g = seq.graph
     if col.graph is not g or m.graph is not g:
@@ -93,50 +128,27 @@ def collect_repetition_pairs(
     mcl = matched_colour_map(col, m)
 
     records: list[PairRecord] = []
-    for tree in seq.trees():
-        pairs, ordered = tree_repetition_pairs(tree, col, m)
-        assert ordered.postorder == tree.postorder, (
-            "tree order must be stable under re-extraction"
-        )
+    firsts_seen: set[int] = set()
+    for tree, pairs in zip(seq.trees(), seq.tree_pairs):
         for u, v in pairs:
-            path = tree.path(u, v)
             colour = mcl[u]
-            assert colour is not None
+            assert u != v and colour is not None
+            assert u not in firsts_seen, "pair first coordinates must be globally distinct"
+            firsts_seen.add(u)
+            assert mcl[v] == colour
+            path = tree.path(u, v)
+            for eid in tree.path_edges(u, v):
+                assert col.colour[eid] == colour, "pair paths must be monochromatic"
+            for x in path[1:-1]:
+                assert mcl[x] != colour, "interior vertices must not repeat the pair colour"
             records.append(
-                PairRecord(
-                    u=u,
-                    v=v,
-                    colour=colour,
-                    path=path,
-                    matched=m.mate[u] == v,
-                )
+                PairRecord(u=u, v=v, colour=colour, path=path, matched=m.mate[u] == v)
             )
-
-    firsts_all = [r.u for r in records]
-    assert len(firsts_all) == len(set(firsts_all)), (
-        "pair first coordinates must be globally distinct"
-    )
-    for r in records:
-        assert r.u != r.v
-        assert seq.preceq(r.u, r.v), "each pair must respect the sequence order"
-        assert mcl[r.u] == mcl[r.v] == r.colour
-        tree = seq.tree_containing(r.u, r.v)
-        for eid in tree.path_edges(r.u, r.v):
-            assert col.colour[eid] == r.colour, "pair paths must be monochromatic"
-        for x in r.path[1:-1]:
-            assert mcl[x] != r.colour, (
-                "interior vertices must not repeat the pair colour"
-            )
+    interior_clashes = _interior_clashes(records)
 
     by_colour: dict[int, list[PairRecord]] = {}
     for r in records:
         by_colour.setdefault(r.colour, []).append(r)
-
-    matched_recs = [r for r in records if r.matched]
-    for i, r1 in enumerate(matched_recs):
-        for r2 in matched_recs[i + 1 :]:
-            shared = set(r1.path[1:-1]) & set(r2.path[1:-1])
-            assert not shared, "matched pairs must have interior-disjoint paths"
 
     supports: dict[int, frozenset[int]] = {}
     firsts: dict[int, frozenset[int]] = {}
@@ -173,6 +185,7 @@ def collect_repetition_pairs(
     return RepetitionPairs(
         seq=seq,
         records=tuple(records),
+        by_colour={c: tuple(recs) for c, recs in sorted(by_colour.items())},
         supports=supports,
         firsts=firsts,
         seconds=seconds,
@@ -182,4 +195,5 @@ def collect_repetition_pairs(
         low=frozenset(low),
         low_large=frozenset(low_large),
         low_small=frozenset(low_small),
+        interior_clashes=interior_clashes,
     )

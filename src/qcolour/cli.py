@@ -218,7 +218,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=2, help="per-vertex colour budget (default 2)")
     p.add_argument("--budget", type=int, help="node budget; exceeding it exits 4")
     p.add_argument("--out", help="write the JSON result to this file")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("verify", help="validate a colouring against the budget")
@@ -226,7 +225,6 @@ def _build_parser() -> _Parser:
     p.add_argument("colouring")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -242,7 +240,6 @@ def _build_parser() -> _Parser:
         help="force or suppress the triangle-free refinements (default: detect)",
     )
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sweep", help="random corpus: generate, solve exactly, analyze")
@@ -254,7 +251,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=0.3, help="extra-edge probability")
     p.add_argument("--budget", type=int, help="exact-solver node budget per instance")
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -52,13 +52,10 @@ class Matching:
 
     def matched_edge(self, v: int) -> int | None:
         """Edge id of the matching edge at ``v``, if any."""
-        if self.mate[v] is None:
+        mate = self.mate[v]
+        if mate is None:
             return None
-        for eid in self.edges.members:
-            a, b = self.graph.edges[eid]
-            if v in (a, b):
-                return eid
-        raise AssertionError("mate set but no incident matching edge")
+        return next(eid for y, eid in self.graph.adjacency[v] if y == mate)
 
 
 def maximum_matching(g: Graph) -> Matching:

@@ -68,6 +68,47 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def order_closure(seq) -> dict[int, frozenset[int]]:
+    """The cascading order of ``seq`` as an explicit transitive closure.
+
+    Maps every tree vertex to the vertices strictly after it, following
+    each tree's postorder and gluing trees at shared vertices.  O(V^2), so
+    only for checking :meth:`RootedForestSeq.preceq` on small sequences.
+    """
+    succ: dict[int, set[int]] = {}
+    for tree in seq.trees():
+        po = tree.postorder
+        for a, b in zip(po, po[1:]):
+            succ.setdefault(a, set()).add(b)
+        succ.setdefault(po[-1], set())
+    reach: dict[int, frozenset[int]] = {}
+    for start in succ:
+        seen: set[int] = set()
+        stack = list(succ[start])
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            stack.extend(succ.get(x, ()))
+        assert start not in seen, "cascading order contains a cycle"
+        reach[start] = frozenset(seen)
+    return reach
+
+
+def check_order_against_closure(seq) -> int:
+    """Compare ``seq.preceq`` with :func:`order_closure` on every ordered
+    pair of graph vertices; return the number of pairs compared."""
+    reach = order_closure(seq)
+    n = seq.graph.n
+    for x in range(n):
+        after = reach.get(x)
+        for y in range(n):
+            expect = after is not None and (x == y or y in after)
+            assert seq.preceq(x, y) == expect, f"preceq({x}, {y}) should be {expect}"
+    return n * n
+
+
 def random_pair_tree(
     rng: random.Random, shape: str = "tree"
 ) -> tuple[RootedTree, EdgeColouring, Matching]:

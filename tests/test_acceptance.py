@@ -46,6 +46,7 @@ from qcolour.instances import (
 )
 from helpers import (
     brute_force_matching_size,
+    check_order_against_closure,
     check_pair_properties,
     connected_graphs_up_to,
     random_graph,
@@ -324,3 +325,11 @@ def test_criterion_9_two_approximation_sanity(corpus):
         violations == 0,
         f"OPT/(|M|+h) <= 2 on {len(corpus)} instances, worst ratio {worst}",
     )
+
+
+def test_sequence_order_matches_closure_on_corpus(corpus):
+    compared = 0
+    for e in corpus[::3]:
+        dec = decompose(e.inst.graph, e.inst.matching, e.res.witness)
+        compared += check_order_against_closure(build_cascading_sequence(dec))
+    assert compared > 0

@@ -16,6 +16,8 @@ from qcolour.analysis import (
     DisconnectedColourClassError,
     ImperfectMatchingError,
     InvalidColouringError,
+    PairRecord,
+    RootedForestSeq,
     RootedTree,
     UnanchoredComponentError,
     analyse,
@@ -28,13 +30,14 @@ from qcolour.analysis import (
     tree_repetition_pairs,
     verify_bound_chain,
 )
+from qcolour.analysis.pairs import _interior_clashes
 from qcolour.instances import (
     fig5_lower_bound,
     named,
     random_triangle_free_with_pm,
     random_with_perfect_matching,
 )
-from helpers import check_pair_properties, random_pair_tree
+from helpers import check_order_against_closure, check_pair_properties, random_pair_tree
 
 
 # ---------------------------------------------------------------- decompose
@@ -292,6 +295,41 @@ def test_cascade_on_lower_bound_instance():
     assert sum(len(t.leaves()) for t in seq.trees()) == 35
 
 
+def test_sequence_order_matches_closure_on_lower_bound_instance():
+    inst = fig5_lower_bound()
+    dec = decompose(inst.graph, inst.matching, inst.certified_colouring)
+    seq = build_cascading_sequence(dec)
+    assert len(seq.forests) == 10
+    assert len(seq.trees()) == len(seq.tree_pairs) == 35
+    assert len(seq.vertices()) == 42
+    # All 72^2 vertex pairs, the 42^2 pairs of tree vertices among them.
+    assert check_order_against_closure(seq) == 72 * 72
+
+
+def test_sequence_order_climbs_from_the_glued_leaf():
+    # Round 1: root 0 with leaves 1 and 2 (postorder 1, 2, 0).  Round 2:
+    # root 2 with leaf 3.  From 3 the climb enters the first tree at 2, so
+    # 0 and 2 follow 3 but 1 does not.
+    g = Graph(4, ((0, 1), (0, 2), (2, 3)))
+    first = RootedTree.build(g, 0, {1: 0, 2: 0}, {1: 0, 2: 1})
+    second = RootedTree.build(g, 2, {3: 2}, {3: 2})
+    seq = RootedForestSeq(g, ((first,), (second,)), ((), ()))
+    assert first.postorder == (1, 2, 0)
+    assert seq.preceq(3, 0) and seq.preceq(3, 2)
+    assert not seq.preceq(3, 1) and not seq.preceq(2, 3)
+    assert check_order_against_closure(seq) == 16
+
+
+def test_sequence_rejects_a_root_glued_to_a_later_forest():
+    # Trees rooted at 0 and at 1 on one edge: each root is the other's
+    # leaf, which would make the order cyclic.
+    g = Graph(2, ((0, 1),))
+    first = RootedTree.build(g, 0, {1: 0}, {1: 0})
+    second = RootedTree.build(g, 1, {0: 1}, {0: 0})
+    with pytest.raises(AssertionError, match="earlier forest"):
+        RootedForestSeq(g, ((first,), (second,)), ((), ()))
+
+
 # ------------------------------------------------------------------- pairs
 
 
@@ -311,6 +349,19 @@ def test_collected_pairs_on_lower_bound_instance():
         assert len(support) >= 4
         mates = {dec.matching.mate[v] for v in support}
         assert mates == set(support)  # supports are closed under mates
+
+
+def test_interior_clashes_count_each_record_pair_once():
+    recs = [
+        PairRecord(0, 9, 0, (0, 5, 6, 9), False),
+        PairRecord(1, 8, 1, (1, 5, 6, 8), False),  # meets record 0 at 5 and 6
+        PairRecord(2, 7, 0, (2, 6, 7), False),  # meets record 1 at 6, record 0 too
+        PairRecord(3, 4, 2, (3, 4), False),  # no interior
+    ]
+    assert _interior_clashes(recs) == 2  # (0, 1) and (1, 2); 0 and 2 share a colour
+    matched = [PairRecord(0, 9, 0, (0, 5, 9), True), PairRecord(1, 8, 1, (1, 5, 8), True)]
+    with pytest.raises(AssertionError, match="interior-disjoint"):
+        _interior_clashes(matched)
 
 
 def test_collected_pairs_identity_on_witnesses():

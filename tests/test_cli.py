@@ -171,6 +171,31 @@ def test_analyze_forced_triangle_free_reports_failures(capsys, tmp_path):
     assert main(["analyze", str(gfile), str(mfile), str(cfile)]) == EXIT_OK
 
 
+def test_analyze_deep_path(capsys, tmp_path):
+    # Path vertices 0..depth, each with a pendant matching edge; path and
+    # pendant edges all wear colour 0.  The path ends 0 and depth each start
+    # a one-edge non-matching class (colours 1, 2) whose other end is matched
+    # in a colour of its own (3, 4).  The cascade grows one tree of depth
+    # 1,500 from vertex 0.
+    depth = 1500
+    n = 2 * depth + 6
+    b1, b1_mate, b2, b2_mate = range(2 * depth + 2, n)
+    coloured = [(v, v + 1, 0) for v in range(depth)]
+    coloured += [(v, depth + 1 + v, 0) for v in range(depth + 1)]
+    coloured += [(0, b1, 1), (depth, b2, 2), (b1, b1_mate, 3), (b2, b2_mate, 4)]
+    matching = [(v, depth + 1 + v) for v in range(depth + 1)] + [(b1, b1_mate), (b2, b2_mate)]
+    gfile = tmp_path / "deep.graph"
+    gfile.write_text(f"{n} {len(coloured)}\n" + "".join(f"{u} {v}\n" for u, v, _ in coloured))
+    mfile = tmp_path / "deep.matching"
+    mfile.write_text("".join(f"{u} {v}\n" for u, v in matching))
+    cfile = tmp_path / "deep.colouring"
+    cfile.write_text("".join(f"{u} {v} {c}\n" for u, v, c in coloured))
+    assert main(["analyze", str(gfile), str(mfile), str(cfile)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 3006
+    assert doc["all_passed"] is True
+
+
 def test_sweep_small_corpus(capsys):
     code = main(["sweep", "--family", "pm", "--count", "3", "--sizes", "4,6", "--seed", "5"])
     assert code == EXIT_OK
