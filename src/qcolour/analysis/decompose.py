@@ -166,8 +166,6 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
                 assert vertex_class.setdefault(v, c) == c
     assert sum(len(cc) for cc in comp_colours) == len(c_n)
 
-    mcl = matched_colour_map(col, m)
-    assert all(x is not None for x in mcl)
     return ColourDecomposition(
         graph=g,
         matching=m,
@@ -176,6 +174,6 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
         non_matching_colours=c_n,
         gm_components=gm_comps,
         component_colours=tuple(tuple(cc) for cc in comp_colours),
-        mcl=tuple(x for x in mcl if x is not None),
+        mcl=matched_colour_map(col, m),
         vertex_class=vertex_class,
     )

@@ -12,7 +12,6 @@ often a vertex set repeats matching edges.
 from __future__ import annotations
 
 from ..colouring import EdgeColouring
-from ..graph import Graph
 from ..matching import Matching
 # matched_colour_map is not called here; bench/tracing.py probes it here.
 from .decompose import matched_colour_map  # noqa: F401
@@ -22,13 +21,6 @@ __all__ = [
     "repetition_content",
     "tree_repetition_pairs",
 ]
-
-
-def _edge_between(g: Graph, u: int, v: int) -> int:
-    for y, eid in g.adjacency[u]:
-        if y == v:
-            return eid
-    raise ValueError(f"no edge between {u} and {v}")
 
 
 def path_repetition(
@@ -56,7 +48,9 @@ def path_repetition(
             raise ValueError(f"vertex {v} is not matched")
     edge_ids = []
     for a, b in zip(path, path[1:]):
-        eid = _edge_between(g, a, b)
+        eid = g.edge_id(a, b)
+        if eid is None:
+            raise ValueError(f"no edge between {a} and {b}")
         if eid in m.edges.members:
             raise ValueError("path may not use matching edges")
         edge_ids.append(eid)

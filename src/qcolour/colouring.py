@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import EdgeSubset, Graph, components
+from .graph import EdgeSubset, Graph, components, read_records
 from .matching import Matching, maximum_matching
 
 
@@ -161,35 +161,25 @@ def parse_colouring(text: str, g: Graph) -> EdgeColouring:
     are canonicalized on load.
     """
     values: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ColouringFormatError(
-                f"line {lineno}: expected 'u v colour', got {raw!r}"
-            )
-        try:
-            u, v, c = int(fields[0]), int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ColouringFormatError(
-                f"line {lineno}: expected 'u v colour', got {raw!r}"
-            ) from None
+    edges = g.edges
+    for lineno, (u, v, c) in read_records(
+        text, 3, ColouringFormatError, "expected 'u v colour'"
+    ):
         eid = len(values)
-        if eid >= g.m:
+        if eid >= len(edges):
             raise ColouringFormatError(f"line {lineno}: more than {g.m} edges")
-        a, b = g.edges[eid]
-        if (u, v) not in ((a, b), (b, a)):
+        edge = edges[eid]
+        if (u, v) != edge and (v, u) != edge:
             raise ColouringFormatError(
-                f"line {lineno}: expected edge {eid} = ({a}, {b}), got ({u}, {v})"
+                f"line {lineno}: expected edge {eid} = {edge}, got ({u}, {v})"
             )
         if c < 0:
             raise ColouringFormatError(f"line {lineno}: negative colour {c}")
         values.append(c)
     if len(values) != g.m:
         raise ColouringFormatError(
-            f"expected one line per edge ({g.m}), got {len(values)}"
+            f"line {len(text.splitlines()) + 1}: expected one line per edge ({g.m}), "
+            f"got {len(values)}"
         )
     return EdgeColouring.from_values(g, values)
 

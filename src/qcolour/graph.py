@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+# Largest vertex count parse_graph accepts.  Graph allocates per vertex, so
+# an unchecked header alone could exhaust memory before any edge is read.
+MAX_VERTICES = 1_000_000
 
 
 class GraphFormatError(ValueError):
     """An edge-list document violates the text format."""
+
+
+class InvalidEdgeError(ValueError):
+    """Edge ``eid`` of a would-be :class:`Graph` is out of range, a self-loop
+    or a duplicate."""
+
+    def __init__(self, eid: int, message: str) -> None:
+        super().__init__(f"edge {eid} {message}")
+        self.eid = eid
 
 
 @dataclass(frozen=True)
@@ -24,25 +38,30 @@ class Graph:
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    _ids: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        seen: set[tuple[int, int]] = set()
+        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        object.__setattr__(self, "edges", edges)
+        ids: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
+        for eid, edge in enumerate(edges):
+            u, v = edge
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
+                raise InvalidEdgeError(
+                    eid, f"endpoint out of range 0..{self.n - 1}: ({u}, {v})"
+                )
             if u == v:
-                raise ValueError(f"edge {eid} is a self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"edge {eid} duplicates pair ({u}, {v})")
-            seen.add(key)
+                raise InvalidEdgeError(eid, f"is a self-loop at vertex {u}")
+            first = ids.setdefault(edge if u < v else (v, u), eid)
+            if first != eid:
+                raise InvalidEdgeError(eid, f"duplicates edge {first}: ({u}, {v})")
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         object.__setattr__(self, "adjacency", tuple(tuple(row) for row in adj))
+        object.__setattr__(self, "_ids", ids)
 
     @property
     def m(self) -> int:
@@ -61,6 +80,10 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    def edge_id(self, u: int, v: int) -> int | None:
+        """Id of the edge joining ``u`` and ``v`` (either order), or ``None``."""
+        return self._ids.get((u, v) if u < v else (v, u))
 
 
 @dataclass(frozen=True)
@@ -166,67 +189,72 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
+def read_records(
+    text: str,
+    width: int,
+    error: type[ValueError],
+    shape: str,
+    first_shape: str | None = None,
+) -> Iterator[tuple[int, list[int]]]:
+    """The line grammar shared by the graph, matching and colouring formats.
+
+    Yields ``(line number, fields)`` for every line that is neither blank
+    nor a ``#`` comment.  Such a line must hold exactly ``width``
+    whitespace-separated integers; otherwise ``error`` is raised as
+    ``line N: <shape>, got '<line>'``, with ``first_shape`` in place of
+    ``shape`` for the first record when it is a header.
+    """
+    expected = first_shape or shape
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            record = [*map(int, fields)]
+        except ValueError:
+            record = []
+        if len(record) != width:
+            raise error(f"line {lineno}: {expected}, got {raw!r}")
+        yield lineno, record
+        expected = shape
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
     Line 1 is ``n m``; each following non-comment line is one edge ``u v``.
-    Lines starting with ``#`` and blank lines are ignored.  Malformed input
-    raises :class:`GraphFormatError` naming the offending line.
+    Lines starting with ``#`` and blank lines are ignored.  Malformed input,
+    or a vertex count above :data:`MAX_VERTICES`, raises
+    :class:`GraphFormatError` naming the offending line.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise GraphFormatError(
-                    f"line {lineno}: header must be 'n m', got {raw!r}"
-                )
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: header must be 'n m', got {raw!r}"
-                ) from None
-            if n < 0 or m < 0:
-                raise GraphFormatError(f"line {lineno}: negative count in header")
-            header = (n, m)
-            continue
-        n, m = header
-        if len(edges) >= m:
-            raise GraphFormatError(f"line {lineno}: more than {m} edges")
-        if len(fields) != 2:
-            raise GraphFormatError(f"line {lineno}: edge must be 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(
-                f"line {lineno}: edge must be 'u v', got {raw!r}"
-            ) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(
-                f"line {lineno}: endpoint out of range 0..{n - 1}: ({u}, {v})"
-            )
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(
-                f"line {lineno}: duplicate of edge on line {seen[key]}"
-            )
-        seen[key] = lineno
-        edges.append((u, v))
+    records = read_records(
+        text, 2, GraphFormatError, "edge must be 'u v'", "header must be 'n m'"
+    )
+    header = next(records, None)
     if header is None:
         raise GraphFormatError("line 1: missing 'n m' header")
-    if len(edges) != header[1]:
+    lineno, (n, m) = header
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {lineno}: negative count in header")
+    if n > MAX_VERTICES:
         raise GraphFormatError(
-            f"line {len(text.splitlines()) + 1}: expected {header[1]} edges, got {len(edges)}"
+            f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}"
         )
-    return Graph(header[0], tuple(edges))
+    lines: list[int] = []
+    edges: list[list[int]] = []
+    for lineno, edge in records:
+        if len(edges) == m:
+            raise GraphFormatError(f"line {lineno}: more than {m} edges")
+        lines.append(lineno)
+        edges.append(edge)
+    if len(edges) != m:
+        raise GraphFormatError(
+            f"line {len(text.splitlines()) + 1}: expected {m} edges, got {len(edges)}"
+        )
+    try:
+        return Graph(n, tuple(edges))
+    except InvalidEdgeError as exc:
+        raise GraphFormatError(f"line {lines[exc.eid]}: {exc}") from None
 
 
 def serialize_graph(g: Graph) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import EdgeSubset, Graph
+from .graph import EdgeSubset, Graph, read_records
 
 
 class MatchingFormatError(ValueError):
@@ -53,9 +53,7 @@ class Matching:
     def matched_edge(self, v: int) -> int | None:
         """Edge id of the matching edge at ``v``, if any."""
         mate = self.mate[v]
-        if mate is None:
-            return None
-        return next(eid for y, eid in self.graph.adjacency[v] if y == mate)
+        return None if mate is None else self.graph.edge_id(v, mate)
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -142,16 +140,7 @@ def maximum_matching(g: Graph) -> Matching:
                 match[pv] = end
                 end = nxt
 
-    pair_to_eid = {}
-    for eid, (u, v) in enumerate(g.edges):
-        key = (u, v) if u < v else (v, u)
-        if key not in pair_to_eid:
-            pair_to_eid[key] = eid
-    ids = set()
-    for v in range(n):
-        u = match[v]
-        if u != -1 and v < u:
-            ids.add(pair_to_eid[(v, u)])
+    ids = {g.edge_id(v, match[v]) for v in range(n) if v < match[v]}
     return Matching.from_edge_ids(g, ids)
 
 
@@ -196,36 +185,23 @@ def is_perfect(g: Graph, m: Matching) -> bool:
 
 def parse_matching(text: str, g: Graph) -> Matching:
     """Parse one ``u v`` line per matching edge, validated against ``g``."""
-    pair_to_eid: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        pair_to_eid[(u, v) if u < v else (v, u)] = eid
     ids: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise MatchingFormatError(
-                f"line {lineno}: matching edge must be 'u v', got {raw!r}"
-            )
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MatchingFormatError(
-                f"line {lineno}: matching edge must be 'u v', got {raw!r}"
-            ) from None
-        key = (u, v) if u < v else (v, u)
-        eid = pair_to_eid.get(key)
+    covered = bytearray(g.n)
+    for lineno, (u, v) in read_records(
+        text, 2, MatchingFormatError, "matching edge must be 'u v'"
+    ):
+        eid = g.edge_id(u, v)
         if eid is None:
             raise MatchingFormatError(f"line {lineno}: ({u}, {v}) is not a graph edge")
         if eid in ids:
             raise MatchingFormatError(f"line {lineno}: edge ({u}, {v}) listed twice")
+        if covered[u] or covered[v]:
+            raise MatchingFormatError(
+                f"line {lineno}: edge ({u}, {v}) shares a vertex with another matching edge"
+            )
         ids.add(eid)
-    try:
-        return Matching.from_edge_ids(g, ids)
-    except ValueError as exc:
-        raise MatchingFormatError(str(exc)) from None
+        covered[u] = covered[v] = 1
+    return Matching.from_edge_ids(g, ids)
 
 
 def serialize_matching(m: Matching) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from qcolour.cli import (
 )
 from qcolour.instances import fig5_lower_bound, named, random_with_perfect_matching
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "qcolour" / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = SRC / "qcolour" / "data"
 FIG5 = DATA / "fig5.graph"
 FIG5_MATCHING = DATA / "fig5.matching"
 FIG5_CERT = DATA / "fig5_58.colouring"
@@ -250,3 +252,31 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "|M|=36 h=1 colours=37"
+
+
+@pytest.mark.parametrize(
+    "command, documents, message",
+    [
+        ("verify", ["3 2\n0 1\n1 0\n", "0 1 0\n1 0 0\n"], "line 3: "),
+        ("analyze", ["3 2\n0 1\n1 2\n", "0 1\n1 2\n", "0 1 0\n1 2 0\n"], "line 2: "),
+        ("verify", ["3 2\n0 1\n1 2\n", "0 1 0\n1 2 -1\n"], "line 2: "),
+    ],
+    ids=["graph", "matching", "colouring"],
+)
+def test_malformed_input_fails_alike_under_optimize(tmp_path, command, documents, message):
+    paths = [tmp_path / f"input{i}" for i in range(len(documents))]
+    for path, text in zip(paths, documents):
+        path.write_text(text)
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "qcolour.cli", command, *map(str, paths)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [EXIT_USAGE, EXIT_USAGE]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.startswith(f"error: {message}")

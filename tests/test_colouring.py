@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -142,5 +143,6 @@ def test_parse_colouring_canonicalizes_arbitrary_labels():
 )
 def test_parse_colouring_errors(text, message):
     g = named("path_3")
-    with pytest.raises(ColouringFormatError, match=message):
+    with pytest.raises(ColouringFormatError, match=message) as exc:
         parse_colouring(text, g)
+    assert re.match(r"line \d+: ", str(exc.value))

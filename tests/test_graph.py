@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +40,10 @@ def test_adjacency_lists_carry_edge_ids():
     assert g.other_end(2, 3) == 2
     with pytest.raises(ValueError):
         g.other_end(0, 3)
+    assert g.edge_id(1, 2) == g.edge_id(2, 1) == 1
+    assert g.edge_id(0, 3) == g.edge_id(3, 0) == 3
+    assert g.edge_id(0, 2) is None
+    assert g.edge_id(1, 1) is None
 
 
 def test_parse_basic_document_with_comments():
@@ -58,15 +63,20 @@ def test_parse_basic_document_with_comments():
         ("2 1\n0 1\n1 0\n", "more than 1 edges"),
         ("2 1\n0 1 2\n", "edge must be"),
         ("2 1\nx y\n", "edge must be"),
+        ("1000001 0\n", "line 1: vertex count 1000001 exceeds"),
         ("2 1\n0 5\n", "out of range"),
         ("2 1\n1 1\n", "self-loop"),
         ("3 2\n0 1\n1 0\n", "duplicate"),
+        ("# comment\n2 1\n\n0 5\n", "line 4: .*out of range"),
+        ("# comment\n2 1\n\n1 1\n", "line 4: .*self-loop"),
+        ("# comment\n3 2\n0 1\n\n1 0\n", "line 5: .*duplicate"),
         ("3 2\n0 1\n", "expected 2 edges, got 1"),
     ],
 )
 def test_parse_errors_name_the_line(text, message):
-    with pytest.raises(GraphFormatError, match=message):
+    with pytest.raises(GraphFormatError, match=message) as exc:
         parse_graph(text)
+    assert re.match(r"line \d+: ", str(exc.value))
 
 
 @given(st.integers(0, 12), st.randoms(use_true_random=False))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -127,9 +128,11 @@ def test_serialize_empty_matching_is_empty_document():
         ("0 3\n", "not a graph edge"),
         ("0 1\n1 0\n", "listed twice"),
         ("0 1\n1 2\n", "shares a vertex"),
+        ("# comment\n0 1\n\n2 1\n", "line 4: .*shares a vertex"),
     ],
 )
 def test_parse_matching_errors(text, message):
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    with pytest.raises(MatchingFormatError, match=message):
+    with pytest.raises(MatchingFormatError, match=message) as exc:
         parse_matching(text, g)
+    assert re.match(r"line \d+: ", str(exc.value))
