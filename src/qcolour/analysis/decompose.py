@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..colouring import EdgeColouring, validate
-from ..graph import Component, EdgeSubset, Graph, components
+from ..graph import Component, Graph, components
 from ..matching import Matching, is_perfect
 
 
@@ -85,9 +85,6 @@ class ColourDecomposition:
     @property
     def num_colours(self) -> int:
         return self.colouring.num_colours
-
-    def colour_class(self, c: int) -> EdgeSubset:
-        return self.colouring.colour_class(c)
 
 
 def _class_is_connected(g: Graph, eids: list[int]) -> bool:

@@ -66,21 +66,12 @@ class RootedTree:
         root: int,
         parent: dict[int, int],
         parent_edge: dict[int, int],
-        child_order: dict[int, tuple[int, ...]] | None = None,
     ) -> RootedTree:
-        """Assemble a tree from parent pointers; children default to vertex-id
-        order unless ``child_order`` pins a specific arrangement."""
+        """Assemble a tree from parent pointers, children in vertex-id order."""
         kids: dict[int, list[int]] = {v: [] for v in list(parent) + [root]}
         for v, p in parent.items():
             kids[p].append(v)
-        children: dict[int, tuple[int, ...]] = {}
-        for v, lst in kids.items():
-            if child_order is not None and v in child_order:
-                ordered = list(child_order[v])
-                assert sorted(ordered) == sorted(lst)
-                children[v] = tuple(ordered)
-            else:
-                children[v] = tuple(sorted(lst))
+        children = {v: tuple(sorted(lst)) for v, lst in kids.items()}
         return cls(graph, root, dict(parent), dict(parent_edge), children)
 
     @property

@@ -45,8 +45,8 @@ class RepetitionPairs:
 
     ``by_colour[j]`` lists the records of colour ``j``; ``supports[j]`` is
     the vertex support of colour ``j`` (both ends of every pair),
-    ``firsts``/``seconds`` the two projections, ``matched_pairs[j]`` the
-    records whose ends are matching partners, and ``repetition[j]`` the
+    ``firsts[j]`` the first coordinates of its pairs, ``matched_pairs[j]``
+    the records whose ends are matching partners, and ``repetition[j]`` the
     repetition content of the support.  A paired colour is *high* when its
     content reaches half the pair count less the matched-pair count,
     otherwise *low*; ``low_large`` and ``low_small`` split the low colours
@@ -59,7 +59,6 @@ class RepetitionPairs:
     by_colour: dict[int, tuple[PairRecord, ...]] = field(hash=False)
     supports: dict[int, frozenset[int]] = field(hash=False)
     firsts: dict[int, frozenset[int]] = field(hash=False)
-    seconds: dict[int, frozenset[int]] = field(hash=False)
     matched_pairs: dict[int, tuple[PairRecord, ...]] = field(hash=False)
     repetition: dict[int, int] = field(hash=False)
     high: frozenset[int]
@@ -152,7 +151,6 @@ def collect_repetition_pairs(
 
     supports: dict[int, frozenset[int]] = {}
     firsts: dict[int, frozenset[int]] = {}
-    seconds: dict[int, frozenset[int]] = {}
     matched_pairs: dict[int, tuple[PairRecord, ...]] = {}
     repetition: dict[int, int] = {}
     high = set()
@@ -164,7 +162,6 @@ def collect_repetition_pairs(
         support = frozenset(r.u for r in recs) | frozenset(r.v for r in recs)
         supports[colour] = support
         firsts[colour] = frozenset(r.u for r in recs)
-        seconds[colour] = frozenset(r.v for r in recs)
         matched_pairs[colour] = tuple(r for r in recs if r.matched)
         rp = repetition_content(support, m, col)
         repetition[colour] = rp
@@ -188,7 +185,6 @@ def collect_repetition_pairs(
         by_colour={c: tuple(recs) for c, recs in sorted(by_colour.items())},
         supports=supports,
         firsts=firsts,
-        seconds=seconds,
         matched_pairs=matched_pairs,
         repetition=repetition,
         high=frozenset(high),

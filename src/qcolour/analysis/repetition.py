@@ -124,8 +124,16 @@ def tree_repetition_pairs(
     with that leaf's matching colour.  Returns ``(pairs, ordered)``
     where each pair ``(u, v)`` shares one matching colour, the first
     coordinates are pairwise distinct, there is exactly one pair per
-    leaf, and ``ordered`` is the same tree with children arranged so
-    that in post-order every pair lists ``u`` before ``v``.
+    leaf, the pairs come sorted, and ``ordered`` is the same tree with
+    children arranged so that in post-order every pair lists ``u``
+    before ``v`` (``tree`` itself when its own order already does).
+
+    The pairs are found in one walk over ``tree.postorder``.  Children
+    come before their parents, so when the walk reaches a vertex that
+    sees two colours, everything still below it sees one; the step there
+    pairs leaves below it and deletes the branches they hang from.  The
+    tree left after the walk is monochromatic, and each of its leaves
+    pairs upward to the nearest ancestor of the tree colour.
     """
     from .forests import RootedTree
 
@@ -154,37 +162,33 @@ def tree_repetition_pairs(
                 f"the edge at leaf {leaf} must carry the leaf's matching colour"
             )
 
-    # Mutable scratch copy; vertices are deleted bottom-up as pairs are found.
-    parent = dict(tree.parent)
+    # Alive children per vertex; subtrees are deleted bottom-up as pairs are found.
+    parent = tree.parent
     children: dict[int, list[int]] = {v: list(tree.children.get(v, ())) for v in verts}
-    ecol = {v: col.colour[tree.parent_edge[v]] for v in verts if v != root}
+    ecol = {v: col.colour[eid] for v, eid in tree.parent_edge.items()}
     alive = set(verts)
     pairs: list[tuple[int, int]] = []
     spine_last: dict[int, int] = {}
 
-    def current_leaves(below: int | None = None) -> list[int]:
-        if below is None:
-            pool = alive
-        else:
-            pool = set()
-            stack = [below]
-            while stack:
-                x = stack.pop()
-                pool.add(x)
-                stack.extend(children[x])
-            pool.discard(below)
-        return sorted(v for v in pool if v != root and not children[v])
+    def colours_at(v: int) -> set[int]:
+        seen = {ecol[c] for c in children[v]}
+        if v != root:
+            seen.add(ecol[v])
+        return seen
 
-    def delete_subtree(top: int) -> None:
-        stack = [top]
+    def below(top: int) -> list[int]:
+        out: list[int] = []
+        stack = list(children[top])
         while stack:
             x = stack.pop()
-            alive.discard(x)
+            out.append(x)
             stack.extend(children[x])
-            children[x] = []
-        p = parent.get(top)
-        if p is not None and top in children.get(p, []):
-            children[p].remove(top)
+        return out
+
+    def delete_subtree(top: int) -> None:
+        alive.difference_update(below(top))
+        alive.discard(top)
+        children[parent[top]].remove(top)
 
     def mono_pair(u: int, a: int) -> tuple[int, int]:
         # Nearest strict ancestor of u whose matching edge carries colour a.
@@ -193,122 +197,90 @@ def tree_repetition_pairs(
             x = parent[x]
         return (u, x)
 
-    while len(alive) >= 2:
-        witnessed: dict[int, set[int]] = {v: set() for v in alive}
-        for v in alive:
-            if v != root and v in parent and parent[v] in alive:
-                witnessed[v].add(ecol[v])
-                witnessed[parent[v]].add(ecol[v])
-        for v in alive:
-            assert len(witnessed[v]) <= 2, "a vertex sees three tree colours"
-        bichromatic = sorted(v for v in alive if len(witnessed[v]) == 2)
-        if not bichromatic:
-            # Monochromatic tree: every remaining leaf pairs upward to the
-            # nearest ancestor carrying the (single) tree colour.
-            a = ecol[min(alive - {root})]
-            assert mcl[root] == a
-            for u in current_leaves():
-                pairs.append(mono_pair(u, a))
-            break
+    for v in verts:
+        assert len(colours_at(v)) <= 2, "a vertex sees three tree colours"
 
-        height = {v: 0 for v in alive}
-        order = []
-        stack = [(root, 0)]
-        while stack:
-            x, ci = stack.pop()
-            if ci < len(children[x]):
-                stack.append((x, ci + 1))
-                stack.append((children[x][ci], 0))
-            else:
-                order.append(x)
-        for x in order:
-            if children[x]:
-                height[x] = 1 + max(height[c] for c in children[x])
-        v = min(bichromatic, key=lambda x: (height[x], x))
-        assert v != root, "the root cannot be the lowest two-coloured vertex"
-        a = mcl[v]
-        assert a in witnessed[v]
-        (b,) = witnessed[v] - {a}
-        a_children = [c for c in children[v] if ecol[c] == a]
-        b_children = [c for c in children[v] if ecol[c] == b]
+    for v in tree.postorder:
+        while v in alive:
+            seen = colours_at(v)
+            if len(seen) < 2:
+                break
+            assert v != root, "the root cannot see two tree colours"
+            a = mcl[v]
+            assert a in seen
+            (b,) = seen - {a}
+            a_children = [c for c in children[v] if ecol[c] == a]
+            b_children = [c for c in children[v] if ecol[c] == b]
 
-        if a_children:
-            # Branches below v coloured a are monochromatic (v is lowest
-            # bichromatic), so each of their leaves pairs to an ancestor
-            # with matching colour a; v itself qualifies.
-            for c in a_children:
-                sub = {c}
-                stack2 = [c]
-                while stack2:
-                    x = stack2.pop()
-                    sub.update(children[x])
-                    stack2.extend(children[x])
-                for u in sorted(x for x in sub if not children[x]):
-                    pairs.append(mono_pair(u, a))
-            if b_children:
-                for c in list(a_children):
-                    delete_subtree(c)
-            else:
-                assert ecol[v] == b
-                w = parent[v]
-                while w != root and (1 if w in parent else 0) + len(children[w]) == 2:
-                    w = parent[w]
-                drop = v
-                while parent[drop] != w:
-                    drop = parent[drop]
-                delete_subtree(drop)
-            continue
-
-        # No child edge below v carries a: the second colour comes from
-        # below via b, and the parent edge carries a.
-        assert ecol[v] == a
-        assert b_children
-        below = set()
-        stack2 = list(children[v])
-        while stack2:
-            x = stack2.pop()
-            below.add(x)
-            stack2.extend(children[x])
-        assert all(ecol[x] == b for x in below), "branches below are not monochromatic"
-        leaves_b = current_leaves(below=v)
-        assert all(mcl[u] == b for u in leaves_b)
-        w = max(leaves_b)
-        spine = [w]
-        while spine[-1] != v:
-            spine.append(parent[spine[-1]])
-        spine.reverse()  # v ... w
-        for s, t in zip(spine, spine[1:]):
-            assert s not in spine_last or spine_last[s] == t
-            spine_last[s] = t
-        on_spine = set(spine)
-        for u in leaves_b:
-            if u == w:
+            if a_children:
+                # Branches below v coloured a are monochromatic (the walk has
+                # passed them), so each of their leaves pairs to an ancestor
+                # with matching colour a; v itself qualifies.
+                for c in a_children:
+                    for u in [c, *below(c)]:
+                        if not children[u]:
+                            pairs.append(mono_pair(u, a))
+                if b_children:
+                    for c in a_children:
+                        delete_subtree(c)
+                else:
+                    # Drop v with the chain of one-child ancestors above it.
+                    assert ecol[v] == b
+                    drop = v
+                    while parent[drop] != root and len(children[parent[drop]]) == 1:
+                        drop = parent[drop]
+                    delete_subtree(drop)
                 continue
-            # Walk from u towards v until the spine, then down to w; the
-            # first vertex after u with matching colour b is the partner.
-            up = [u]
-            while up[-1] not in on_spine:
-                up.append(parent[up[-1]])
-            join = up[-1]
-            walk = up[1:] + spine[spine.index(join) + 1 :]
-            partner = next(x for x in walk if mcl[x] == b)
-            pairs.append((u, partner))
-        for c in list(children[v]):
-            delete_subtree(c)
+
+            # No child edge below v carries a: the second colour comes from
+            # below via b, and the parent edge carries a.
+            assert ecol[v] == a
+            assert b_children
+            sub = below(v)
+            assert all(ecol[x] == b for x in sub), "branches below are not monochromatic"
+            leaves_b = [x for x in sub if not children[x]]
+            assert all(mcl[u] == b for u in leaves_b)
+            w = max(leaves_b)
+            spine = [w]
+            while spine[-1] != v:
+                spine.append(parent[spine[-1]])
+            spine.reverse()  # v ... w
+            for s, t in zip(spine, spine[1:]):
+                assert s not in spine_last or spine_last[s] == t
+                spine_last[s] = t
+            on_spine = {x: i for i, x in enumerate(spine)}
+            for u in leaves_b:
+                if u == w:
+                    continue
+                # Walk from u towards v until the spine, then down to w; the
+                # first vertex after u with matching colour b is the partner.
+                up = [u]
+                while up[-1] not in on_spine:
+                    up.append(parent[up[-1]])
+                walk = up[1:] + spine[on_spine[up[-1]] + 1 :]
+                partner = next(x for x in walk if mcl[x] == b)
+                pairs.append((u, partner))
+            for c in list(children[v]):
+                delete_subtree(c)
+
+    if children[root]:
+        # Monochromatic remainder: every leaf pairs upward to the nearest
+        # ancestor carrying the (single) tree colour.
+        a = ecol[children[root][0]]
+        assert mcl[root] == a
+        for u in below(root):
+            if not children[u]:
+                pairs.append(mono_pair(u, a))
 
     assert len(pairs) == len(tree.leaves()), "one pair per original leaf"
 
-    child_order: dict[int, tuple[int, ...]] = {}
-    for v, last in spine_last.items():
-        others = [c for c in tree.children.get(v, ()) if c != last]
-        child_order[v] = tuple(others + [last])
-    ordered = RootedTree.build(
-        g,
-        root,
-        dict(tree.parent),
-        dict(tree.parent_edge),
-        child_order={v: child_order.get(v, tree.children.get(v, ())) for v in verts},
+    kids = dict(tree.children)
+    for v, t in spine_last.items():
+        kids[v] = tuple(c for c in kids[v] if c != t) + (t,)
+    ordered = (
+        tree if kids == tree.children
+        else RootedTree(g, root, tree.parent, tree.parent_edge, kids)
     )
     for u, x in pairs:
         assert ordered.preceq(u, x), "pairs must respect the post-order"
-    return tuple(pairs), ordered
+    return tuple(sorted(pairs)), ordered

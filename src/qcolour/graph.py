@@ -15,8 +15,8 @@ class GraphFormatError(ValueError):
 
 
 class InvalidEdgeError(ValueError):
-    """Edge ``eid`` of a would-be :class:`Graph` is out of range, a self-loop
-    or a duplicate."""
+    """Edge ``eid`` of a would-be :class:`Graph` is not a pair of ints, is out
+    of range, a self-loop or a duplicate."""
 
     def __init__(self, eid: int, message: str) -> None:
         super().__init__(f"edge {eid} {message}")
@@ -27,10 +27,11 @@ class InvalidEdgeError(ValueError):
 class Graph:
     """A finite simple undirected graph.
 
-    Vertices are ``0..n-1``.  Edges are unordered pairs carried in a fixed
-    order; the position of an edge in ``edges`` is its id, and every other
-    structure in this package (subsets, matchings, colourings) refers to
-    edges by that id.  Instances are immutable once constructed.
+    Vertices are ``0..n-1``.  Edges are ``(u, v)`` tuples of ints, read as
+    unordered pairs and carried in a fixed order; the position of an edge in
+    ``edges`` is its id, and every other structure in this package (subsets,
+    matchings, colourings) refers to edges by that id.  Instances are
+    immutable once constructed.
     """
 
     n: int
@@ -43,12 +44,14 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        edges = tuple(self.edges)
         object.__setattr__(self, "edges", edges)
         ids: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for eid, edge in enumerate(edges):
             u, v = edge
+            if type(u) is not int or type(v) is not int or type(edge) is not tuple:
+                raise InvalidEdgeError(eid, f"is not a pair of ints: {edge!r}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidEdgeError(
                     eid, f"endpoint out of range 0..{self.n - 1}: ({u}, {v})"
@@ -195,7 +198,7 @@ def read_records(
     error: type[ValueError],
     shape: str,
     first_shape: str | None = None,
-) -> Iterator[tuple[int, list[int]]]:
+) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The line grammar shared by the graph, matching and colouring formats.
 
     Yields ``(line number, fields)`` for every line that is neither blank
@@ -210,9 +213,9 @@ def read_records(
         if not fields or fields[0][0] == "#":
             continue
         try:
-            record = [*map(int, fields)]
+            record = (*map(int, fields),)
         except ValueError:
-            record = []
+            record = ()
         if len(record) != width:
             raise error(f"line {lineno}: {expected}, got {raw!r}")
         yield lineno, record
@@ -241,7 +244,7 @@ def parse_graph(text: str) -> Graph:
             f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}"
         )
     lines: list[int] = []
-    edges: list[list[int]] = []
+    edges: list[tuple[int, ...]] = []
     for lineno, edge in records:
         if len(edges) == m:
             raise GraphFormatError(f"line {lineno}: more than {m} edges")

@@ -110,7 +110,7 @@ def check_order_against_closure(seq) -> int:
 
 
 def random_pair_tree(
-    rng: random.Random, shape: str = "tree"
+    rng: random.Random, shape: str = "tree", size: int | None = None
 ) -> tuple[RootedTree, EdgeColouring, Matching]:
     """A rooted tree plus a synthetic colouring meeting the pairing rules.
 
@@ -121,9 +121,10 @@ def random_pair_tree(
     matching colour — exactly the preconditions of the pairing
     construction.  A small colour pool forces repeated matching colours,
     which is what makes pairs appear.  ``shape="path"`` chains the
-    vertices instead of random attachment.
+    vertices instead of random attachment.  ``size`` fixes the number of
+    tree vertices; by default it is drawn from 2..13.
     """
-    t = rng.randint(2, 13)
+    t = rng.randint(2, 13) if size is None else size
     parent = {v: (v - 1 if shape == "path" else rng.randrange(v)) for v in range(1, t)}
     tree_edges = [(parent[v], v) for v in range(1, t)]
     mate_edges = [(v, t + v) for v in range(t)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -247,6 +248,27 @@ def test_pairs_on_random_trees_satisfy_all_properties():
     assert total > 400  # the generator must actually exercise the machinery
 
 
+# SHA-256 of (sorted pairs, ordered postorder) over the fixtures below,
+# recorded with the earlier elimination loop that re-derived the lowest
+# two-coloured vertex after every step; the single walk must reproduce it.
+PAIRING_DIGEST = "49c21db6a4a0a68fd4996cf7e153a72e5c98c303c620f5044eae287dccd18809"
+
+
+def test_pairs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for size in [*range(2, 14), 200, 1000]:
+        for shape in ("tree", "path"):
+            rng = random.Random(f"{shape}:{size}")
+            for _ in range(50 if size < 14 else 3):
+                tree, col, m = random_pair_tree(rng, shape, size)
+                pairs, ordered = tree_repetition_pairs(tree, col, m)
+                assert list(pairs) == sorted(pairs)
+                assert ordered is tree or ordered.postorder != tree.postorder
+                check_pair_properties(ordered, pairs, col, m)
+                digest.update(repr((sorted(pairs), ordered.postorder)).encode())
+    assert digest.hexdigest() == PAIRING_DIGEST
+
+
 # ----------------------------------------------------------------- cascade
 
 
@@ -269,7 +291,7 @@ def test_cascade_leaf_count_identity_on_witnesses():
         assert leaves == sum(k - 1 for k in dec.k)
         class_vertices = set()
         for c in dec.non_matching_colours:
-            class_vertices |= dec.colour_class(c).vertices()
+            class_vertices |= dec.colouring.colour_class(c).vertices()
         for t in seq.trees():
             for w in t.internal_vertices():
                 assert w not in class_vertices

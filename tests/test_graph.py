@@ -15,6 +15,7 @@ from qcolour import (
     parse_graph,
     serialize_graph,
 )
+from qcolour.graph import InvalidEdgeError
 from helpers import random_graph
 
 
@@ -31,6 +32,15 @@ def test_rejects_duplicate_edge_either_orientation():
 def test_rejects_endpoint_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, ((0, 2),))
+
+
+@pytest.mark.parametrize(
+    "edge", [(0, 1.7), ("2", 1), (True, 2), (0, 1.0), [0, 1]], ids=repr
+)
+def test_rejects_edge_that_is_not_a_pair_of_ints(edge):
+    with pytest.raises(InvalidEdgeError, match="edge 1 is not a pair of ints") as exc:
+        Graph(3, ((1, 2), edge))
+    assert exc.value.eid == 1
 
 
 def test_adjacency_lists_carry_edge_ids():
