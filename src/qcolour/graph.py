@@ -97,10 +97,12 @@ class EdgeSubset:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        for eid in self.members:
-            if not (0 <= eid < self.graph.m):
-                raise ValueError(f"edge id {eid} out of range")
+        members = frozenset(self.members)
+        object.__setattr__(self, "members", members)
+        if members:
+            low, high = min(members), max(members)
+            if low < 0 or high >= self.graph.m:
+                raise ValueError(f"edge id {low if low < 0 else high} out of range")
 
     def __contains__(self, eid: int) -> bool:
         return eid in self.members

@@ -58,11 +58,17 @@ class Matching:
 
 def maximum_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching via alternating-tree search with blossom
-    contraction.
+    contraction (Edmonds 1965).
 
     Fully deterministic: the matching is seeded greedily in edge-id order,
-    exposed vertices are processed in id order, and neighbours are scanned in
-    adjacency (edge-insertion) order.
+    exposed vertices are processed in id order, neighbours are scanned in
+    adjacency (edge-insertion) order, and the vertices a contraction newly
+    reaches are enqueued in ascending id order.
+
+    The search state is allocated once.  Each search resets only the
+    vertices the previous one touched, and a contraction relabels only the
+    vertices under the blossom's own bases, so a search costs the vertices
+    and edges it reaches, not O(n).
     """
     n = g.n
     adj = g.adjacency
@@ -74,37 +80,43 @@ def maximum_matching(g: Graph) -> Matching:
 
     p = [-1] * n
     base = list(range(n))
+    used = [False] * n
+    touched: list[int] = []  # every vertex whose p, base or used this search set
+    under: dict[int, list[int]] = {}  # contracted base -> the vertices under it
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen: set[int] = set()
         x = a
         while True:
             x = base[x]
-            seen[x] = True
+            seen.add(x)
             if match[x] == -1:
                 break
             x = p[match[x]]
         x = b
         while True:
             x = base[x]
-            if seen[x]:
+            if x in seen:
                 return x
             x = p[match[x]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, bases: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            bases.add(base[v])
+            bases.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
     def find_augmenting_path(root: int) -> int:
-        nonlocal p, base
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
+        for w in touched:
+            p[w] = -1
+            base[w] = w
+            used[w] = False
+        touched.clear()
+        under.clear()
         used[root] = True
+        touched.append(root)
         q: deque[int] = deque([root])
         while q:
             v = q.popleft()
@@ -113,20 +125,27 @@ def maximum_matching(g: Graph) -> Matching:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     cur = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, cur, to, blossom)
-                    mark_path(to, cur, v, blossom)
-                    for w in range(n):
-                        if blossom[base[w]]:
+                    bases: set[int] = set()
+                    mark_path(v, cur, to, bases)
+                    mark_path(to, cur, v, bases)
+                    blossom = under.setdefault(cur, [cur])
+                    reached = []
+                    for b in bases:
+                        for w in under.pop(b, [b]):
                             base[w] = cur
+                            blossom.append(w)
                             if not used[w]:
                                 used[w] = True
-                                q.append(w)
+                                reached.append(w)
+                    reached.sort()
+                    q.extend(reached)
                 elif p[to] == -1:
                     p[to] = v
+                    touched.append(to)
                     if match[to] == -1:
                         return to
                     used[match[to]] = True
+                    touched.append(match[to])
                     q.append(match[to])
         return -1
 

@@ -68,6 +68,29 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def sparse_planted_pm_graph(n: int, avg_degree: float, rng: random.Random) -> Graph:
+    """A sparse random graph on ``n`` vertices (even) with a perfect matching.
+
+    A random pairing of the vertices is planted, then about
+    ``(avg_degree - 1) * n / 2`` further distinct random pairs are added, so
+    the cost is O(n + m).  The edge order is shuffled, so a greedy seed in
+    edge order leaves the matching short and the augmenting search has to
+    work.
+    """
+    order = list(range(n))
+    rng.shuffle(order)
+    seen = {(min(order[i], order[i + 1]), max(order[i], order[i + 1])) for i in range(0, n, 2)}
+    edges = sorted(seen)
+    for _ in range(int((avg_degree - 1) * n / 2)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        pair = (min(u, v), max(u, v))
+        if u != v and pair not in seen:
+            seen.add(pair)
+            edges.append(pair)
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
 def order_closure(seq) -> dict[int, frozenset[int]]:
     """The cascading order of ``seq`` as an explicit transitive closure.
 

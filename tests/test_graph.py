@@ -121,6 +121,14 @@ def test_edge_subset_complement_and_vertices():
     assert 0 in s and 1 not in s
 
 
+@pytest.mark.parametrize("ids, bad", [({-1}, -1), ({3}, 3), ({0, 2, 3}, 3), ({-1, 1}, -1)])
+def test_edge_subset_rejects_out_of_range_ids(ids, bad):
+    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    with pytest.raises(ValueError, match=f"^edge id {bad} out of range$"):
+        EdgeSubset(g, ids)
+    assert EdgeSubset(g, set()).members == frozenset()
+
+
 def test_triangle_detection():
     assert not is_triangle_free(Graph(3, ((0, 1), (1, 2), (0, 2))))
     assert is_triangle_free(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))))

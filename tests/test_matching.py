@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -16,7 +17,7 @@ from qcolour import (
     serialize_matching,
 )
 from qcolour.instances import named
-from helpers import brute_force_matching_size, random_graph
+from helpers import brute_force_matching_size, random_graph, sparse_planted_pm_graph
 
 
 def test_matching_rejects_shared_vertex():
@@ -91,6 +92,53 @@ def test_maximum_agrees_with_brute_force_on_random_graphs():
         m = maximum_matching(g)
         assert m.size == brute_force_matching_size(g)
         assert is_maximum(g, m)
+
+
+# SHA-256 of the sorted matching edge ids over ``_pinned_fixtures``, recorded
+# before the search state was made incremental: the output must not change.
+PINNED_MATCHING_DIGEST = "3dfa14a6764be735a5f2cc30e0815a7b55d84cd516a3ad0c14c72ab6848bde5f"
+
+
+def _pinned_fixtures():
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(0, 30)
+        yield random_graph(n, rng.uniform(0.3, 0.9), rng)
+        yield random_graph(n, rng.uniform(0.5, 3.0) / max(n, 1), rng)
+    for n, count in ((200, 30), (1000, 5), (4000, 1)):
+        for _ in range(count):
+            yield sparse_planted_pm_graph(n, rng.uniform(1.5, 4.0), rng)
+
+
+def test_maximum_matching_matches_pinned_digest():
+    # Blossom vertices must be enqueued in ascending id order; any other
+    # order changes which augmenting path is found first.
+    digest = hashlib.sha256()
+    for g in _pinned_fixtures():
+        ids = sorted(maximum_matching(g).edges.members)
+        digest.update(f"{g.n} {g.m}: {ids}\n".encode())
+    assert digest.hexdigest() == PINNED_MATCHING_DIGEST
+
+
+def test_maximum_matching_is_perfect_on_a_large_planted_graph():
+    # Quadratic bookkeeping takes seconds here; near-linear takes a fraction.
+    g = sparse_planted_pm_graph(16_000, 3.0, random.Random(16))
+    m = maximum_matching(g)
+    assert m.size == g.n // 2
+    assert is_perfect(g, m)
+
+
+def test_maximum_matching_size_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(300)
+    for _ in range(6):
+        g = random_graph(300, rng.uniform(1.5, 3.0) / 300, rng)
+        m = maximum_matching(g)
+        assert not is_perfect(g, m)
+        other = nx.Graph()
+        other.add_nodes_from(range(g.n))
+        other.add_edges_from(g.edges)
+        assert m.size == len(nx.max_weight_matching(other, maxcardinality=True))
 
 
 def test_is_maximum_rejects_augmentable_matching():
