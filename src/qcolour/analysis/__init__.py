@@ -24,7 +24,6 @@ from ..graph import Graph
 from ..matching import Matching
 from .bounds import BoundEntry, BoundReport, verify_bound_chain
 from .decompose import (
-    ClassSpansComponentsError,
     ColourDecomposition,
     DisconnectedColourClassError,
     ImperfectMatchingError,
@@ -41,7 +40,6 @@ from .repetition import path_repetition, repetition_content, tree_repetition_pai
 __all__ = [
     "BoundEntry",
     "BoundReport",
-    "ClassSpansComponentsError",
     "ColourDecomposition",
     "DisconnectedColourClassError",
     "ImperfectMatchingError",

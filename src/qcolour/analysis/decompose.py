@@ -33,10 +33,6 @@ class DisconnectedColourClassError(StructuralError):
     """Some colour class does not induce a connected subgraph."""
 
 
-class ClassSpansComponentsError(StructuralError):
-    """A non-matching colour class touches two components of G minus M."""
-
-
 class UnanchoredComponentError(StructuralError):
     """An edge-containing component of G minus M carries no non-matching
     colour, so there is nothing to anchor its cascade of forests to."""
@@ -110,9 +106,10 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     """Validate and split ``col`` against ``m``.
 
     Raises a :class:`StructuralError` subclass when the matching is not
-    perfect, the colouring is invalid for q = 2, some colour class is
-    disconnected, or a non-matching class straddles two components of
-    G minus M.
+    perfect, the colouring is invalid for q = 2, or some colour class is
+    disconnected.  The components of G minus M come from one
+    ``components(g, m.edges)`` call, and each non-matching colour is filed
+    under the component of its first edge.
     """
     if m.graph != g or col.graph != g:
         raise ValueError("matching/colouring belong to a different graph")
@@ -138,30 +135,24 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     c_m = frozenset(col.colour[eid] for eid in m.edges.members)
     c_n = frozenset(range(col.num_colours)) - c_m
 
-    gm_comps = tuple(
-        comp for comp in components(g, m.edges.complement()) if comp.has_edges
-    )
+    gm_comps = tuple(comp for comp in components(g, m.edges) if comp.has_edges)
     edge_to_comp: dict[int, int] = {}
     for i, comp in enumerate(gm_comps):
         for eid in comp.edge_ids:
             edge_to_comp[eid] = i
+    # A connected class of non-matching edges lies inside one component of
+    # G minus M, so its first edge names that component.  Validity makes
+    # distinct non-matching classes vertex-disjoint: a shared vertex would
+    # see both of them plus its matching colour.
     comp_colours: list[list[int]] = [[] for _ in gm_comps]
-    for c in sorted(c_n):
-        homes = {edge_to_comp[eid] for eid in by_colour[c]}
-        if len(homes) != 1:
-            raise ClassSpansComponentsError(
-                f"non-matching colour class {c} spans components {sorted(homes)}"
-            )
-        comp_colours[homes.pop()].append(c)
-
-    # Validity makes distinct non-matching classes vertex-disjoint: a shared
-    # vertex would see both of them plus its matching colour.
     vertex_class: dict[int, int] = {}
-    for c in sorted(c_n):
-        for eid in by_colour[c]:
+    for c, eids in enumerate(by_colour):
+        if c in c_m:
+            continue
+        comp_colours[edge_to_comp[eids[0]]].append(c)
+        for eid in eids:
             for v in g.edges[eid]:
-                assert vertex_class.setdefault(v, c) == c
-    assert sum(len(cc) for cc in comp_colours) == len(c_n)
+                vertex_class[v] = c
 
     return ColourDecomposition(
         graph=g,

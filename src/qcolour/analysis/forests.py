@@ -145,12 +145,12 @@ class RootedForestSeq:
         trees = tuple(tree for forest in self.forests for tree in forest)
         rounds = [i for i, forest in enumerate(self.forests) for _ in forest]
         assert len(self.tree_pairs) == len(trees), "one pair list per tree"
-        roots: dict[int, int] = {}
-        home: dict[int, int] = {}
-        for t, tree in enumerate(trees):
-            assert roots.setdefault(tree.root, t) == t, "two trees share a root"
-            for v in tree.postorder[:-1]:
-                assert home.setdefault(v, t) == t, "two trees share a non-root vertex"
+        roots = {tree.root: t for t, tree in enumerate(trees)}
+        home = {v: t for t, tree in enumerate(trees) for v in tree.postorder[:-1]}
+        assert len(roots) == len(trees), "two trees share a root"
+        assert len(home) == sum(len(tree.parent) for tree in trees), (
+            "two trees share a non-root vertex"
+        )
         glue = tuple(home.get(tree.root) for tree in trees)
         for t, up in enumerate(glue):
             # Glues only point back in the sequence, so the order is acyclic.

@@ -133,6 +133,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("--count must be nonnegative")
     if not 0.0 <= args.p <= 1.0:
         raise _UsageError("--p must lie in [0, 1]")
+    if args.budget is not None and args.budget < 0:
+        raise _UsageError("--budget must be nonnegative")
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:

@@ -136,21 +136,16 @@ def matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matching, int]:
     if g.m == 0:
         raise ValueError("graph has no edges to colour")
     m = maximum_matching(g)
-    values: list[object] = [None] * g.m
-    for slot, eid in enumerate(sorted(m.edges.members)):
-        values[eid] = ("m", slot)
-    rest = m.edges.complement()
+    # Each edge names the edge that opens its colour: a matching edge opens
+    # its own, a component's edges share that component's lowest edge id.
+    opener = list(range(g.m))
     h = 0
-    for comp in components(g, rest):
-        if not comp.has_edges:
-            continue
-        h += 1
-        for eid in comp.edge_ids:
-            values[eid] = ("c", comp.min_vertex)
-    assert all(v is not None for v in values)
-    col = EdgeColouring.from_values(g, values)
-    assert col.num_colours == m.size + h
-    return col, m, h
+    for comp in components(g, m.edges):
+        if comp.has_edges:
+            h += 1
+            for eid in comp.edge_ids:
+                opener[eid] = comp.edge_ids[0]
+    return EdgeColouring.from_values(g, opener), m, h
 
 
 def parse_colouring(text: str, g: Graph) -> EdgeColouring:

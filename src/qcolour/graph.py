@@ -113,9 +113,6 @@ class EdgeSubset:
     def __len__(self) -> int:
         return len(self.members)
 
-    def complement(self) -> EdgeSubset:
-        return EdgeSubset(self.graph, frozenset(range(self.graph.m)) - self.members)
-
     def vertices(self) -> frozenset[int]:
         """All endpoints of member edges."""
         out: set[int] = set()
@@ -139,23 +136,20 @@ class Component:
     def has_edges(self) -> bool:
         return bool(self.edge_ids)
 
-    @property
-    def min_vertex(self) -> int:
-        return self.vertices[0]
 
-
-def components(g: Graph, keep: EdgeSubset | None = None) -> list[Component]:
-    """Connected components of the subgraph (V(g), keep).
+def components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
+    """Connected components of ``g`` minus the edges of ``drop``.
 
     Every vertex of ``g`` appears in exactly one component (isolated vertices
-    form singletons).  ``keep=None`` means all edges.  Components are listed
-    by minimum vertex id; within one, vertices and edge ids are sorted, so the
-    output is independent of edge order.
+    form singletons).  ``drop=None`` keeps all edges.  Components are listed
+    by minimum vertex id; within one, vertices and edge ids are ascending, so
+    the output is independent of edge order.  Both come out of scans in id
+    order after one union-find pass over the kept edges; nothing is sorted.
     """
-    if keep is None:
-        keep = EdgeSubset(g, frozenset(range(g.m)))
-    elif keep.graph is not g and keep.graph != g:
+    if drop is not None and drop.graph is not g and drop.graph != g:
         raise ValueError("edge subset belongs to a different graph")
+    kept = range(g.m) if drop is None else [e for e in range(g.m) if e not in drop.members]
+    edges = g.edges
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -164,25 +158,27 @@ def components(g: Graph, keep: EdgeSubset | None = None) -> list[Component]:
             x = parent[x]
         return x
 
-    for eid in keep.members:
-        u, v = g.edges[eid]
+    for eid in kept:
+        u, v = edges[eid]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
 
-    verts: dict[int, list[int]] = {}
+    # where[v] is the index of v's component; a root is reached first at its
+    # component's minimum vertex, so components are numbered in that order.
+    where = [-1] * g.n
+    verts: list[list[int]] = []
     for v in range(g.n):
-        verts.setdefault(find(v), []).append(v)
-    eids: dict[int, list[int]] = {root: [] for root in verts}
-    for eid in sorted(keep.members):
-        u, _ = g.edges[eid]
-        eids[find(u)].append(eid)
-    out = [
-        Component(tuple(sorted(vs)), tuple(es))
-        for vs, es in ((verts[r], eids[r]) for r in verts)
-    ]
-    out.sort(key=lambda c: c.vertices[0])
-    return out
+        r = find(v)
+        if where[r] < 0:
+            where[r] = len(verts)
+            verts.append([])
+        where[v] = where[r]
+        verts[where[v]].append(v)
+    eids: list[list[int]] = [[] for _ in verts]
+    for eid in kept:
+        eids[where[edges[eid][0]]].append(eid)
+    return [Component(tuple(vs), tuple(es)) for vs, es in zip(verts, eids)]
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -58,6 +58,26 @@ def _is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def bfs_components(g: Graph, drop: frozenset[int] = frozenset()) -> list[set[int]]:
+    """Vertex sets of the components of ``g`` minus the edge ids in ``drop``,
+    by breadth-first search from each unvisited vertex in id order."""
+    seen: set[int] = set()
+    out: list[set[int]] = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        for v in queue:
+            for w, eid in g.adjacency[v]:
+                if eid not in drop and w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = tuple(
         (u, v)

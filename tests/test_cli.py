@@ -237,6 +237,16 @@ def test_sweep_rejects_bad_sizes(capsys):
     assert main(["sweep", "--p", "2.0"]) == EXIT_USAGE
 
 
+def test_sweep_rejects_negative_budget_before_any_work(capsys, monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr("qcolour.cli.random_with_perfect_matching", no_generation)
+    assert main(["sweep", "--family", "pm", "--budget", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: --budget must be nonnegative\n"
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["bogus"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -280,3 +290,22 @@ def test_malformed_input_fails_alike_under_optimize(tmp_path, command, documents
     assert [r.returncode for r in runs] == [EXIT_USAGE, EXIT_USAGE]
     assert runs[0].stderr == runs[1].stderr
     assert runs[0].stderr.startswith(f"error: {message}")
+
+
+def test_analyze_fig5_is_identical_under_optimize():
+    # No map the analysis reads may be filled inside an assert, which
+    # `python -O` strips.
+    paths = [DATA / "fig5.graph", DATA / "fig5.matching", DATA / "fig5_58.colouring"]
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "qcolour.cli", "analyze", *map(str, paths)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [EXIT_OK, EXIT_OK]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr == ""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -16,7 +17,7 @@ from qcolour import (
 )
 from qcolour.analysis import matched_colour_map
 from qcolour.instances import named
-from helpers import random_graph
+from helpers import random_graph, sparse_planted_pm_graph
 
 
 def test_constructor_requires_canonical_colours():
@@ -105,6 +106,37 @@ def test_algorithm_output_is_always_valid_and_sized():
         col, m, h = matching_based_colouring(g)
         assert col.num_colours == m.size + h
         assert validate(g, col, 2).valid
+
+
+# SHA-256 of ``(|M|, h)`` and the serialized colouring over
+# ``_pinned_fixtures``, recorded before the leftover graph was labelled in a
+# single pass: the approximation must colour every edge as it did.
+PINNED_APPROX_DIGEST = "65f8a13b80bfce9e6759dea01f824e96c7bc6823c1ecdbe2793b17821a701fc3"
+
+
+def _pinned_fixtures():
+    rng = random.Random(11)
+    for _ in range(300):
+        # Sparse draws leave isolated vertices and several components.
+        n = rng.randint(2, 30)
+        g = random_graph(n, rng.uniform(0.5, 3.0) / n, rng)
+        if g.m:
+            yield g
+        g = random_graph(n, rng.uniform(0.2, 0.8), rng)
+        if g.m:
+            yield g
+    for n, count in ((200, 20), (1000, 4), (4000, 1)):
+        for _ in range(count):
+            yield sparse_planted_pm_graph(n, rng.uniform(1.5, 4.0), rng)
+
+
+def test_matching_based_colouring_matches_pinned_digest():
+    digest = hashlib.sha256()
+    for g in _pinned_fixtures():
+        col, m, h = matching_based_colouring(g)
+        digest.update(f"{g.n} {g.m} {m.size} {h}\n".encode())
+        digest.update(serialize_colouring(col).encode())
+    assert digest.hexdigest() == PINNED_APPROX_DIGEST
 
 
 def test_matched_colour_map_reads_matching_edges():

@@ -16,7 +16,7 @@ from qcolour import (
     serialize_graph,
 )
 from qcolour.graph import InvalidEdgeError
-from helpers import random_graph
+from helpers import bfs_components, random_graph
 
 
 def test_rejects_self_loop():
@@ -101,24 +101,54 @@ def test_components_of_two_paths():
     assert [c.vertices for c in comps] == [(0, 1, 2), (3, 4), (5,)]
     assert [c.edge_ids for c in comps] == [(0, 1), (2,), ()]
     assert comps[0].has_edges and not comps[2].has_edges
-    assert comps[1].min_vertex == 3
 
 
 def test_components_respect_edge_restriction():
     g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    keep = EdgeSubset(g, frozenset({0, 2}))
-    comps = components(g, keep)
+    drop = EdgeSubset(g, frozenset({1, 3}))
+    comps = components(g, drop)
     assert [c.vertices for c in comps] == [(0, 1), (2, 3)]
     assert [c.edge_ids for c in comps] == [(0,), (2,)]
 
 
-def test_edge_subset_complement_and_vertices():
+def test_components_agree_with_bfs_reference():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        g = random_graph(n, rng.uniform(0.3, 3.0) / max(n, 1), rng)
+        dropped = frozenset(eid for eid in range(g.m) if rng.random() < 0.4)
+        drop = EdgeSubset(g, dropped) if rng.random() < 0.8 else None
+        comps = components(g, drop)
+        expected = bfs_components(g, dropped if drop is not None else frozenset())
+        assert [set(c.vertices) for c in comps] == expected
+        where = {v: i for i, c in enumerate(comps) for v in c.vertices}
+        for c in comps:
+            assert list(c.vertices) == sorted(c.vertices)
+            assert list(c.edge_ids) == sorted(c.edge_ids)
+        assert [c.vertices[0] for c in comps] == sorted(c.vertices[0] for c in comps)
+        kept = [eid for c in comps for eid in c.edge_ids]
+        assert sorted(kept) == [
+            eid for eid in range(g.m) if drop is None or eid not in dropped
+        ]
+        for i, c in enumerate(comps):
+            for eid in c.edge_ids:
+                u, v = g.edges[eid]
+                assert where[u] == where[v] == i
+
+
+def test_components_rejects_subset_of_another_graph():
+    g = Graph(3, ((0, 1), (1, 2)))
+    other = Graph(3, ((0, 1),))
+    with pytest.raises(ValueError, match="^edge subset belongs to a different graph$"):
+        components(g, EdgeSubset(other, frozenset({0})))
+
+
+def test_edge_subset_vertices_and_membership():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
     s = EdgeSubset(g, frozenset({0}))
-    assert s.complement().members == frozenset({1, 2})
     assert s.vertices() == frozenset({0, 1})
-    assert list(s.complement()) == [1, 2]
     assert 0 in s and 1 not in s
+    assert list(EdgeSubset(g, frozenset({2, 0}))) == [0, 2]
 
 
 @pytest.mark.parametrize("ids, bad", [({-1}, -1), ({3}, 3), ({0, 2, 3}, 3), ({-1, 1}, -1)])
