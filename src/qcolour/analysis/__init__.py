@@ -1,18 +1,19 @@
 """Structural analysis of valid q=2 edge colourings against a perfect matching.
 
-The pipeline has four stages.  Each builds its structures once and hands
-them to the next:
+The pipeline has four stages.  Only the first takes the graph, matching
+and colouring; every later stage takes the decomposition it returns:
 
 1. :func:`decompose` — split a colouring into matching / non-matching
    colours, locate every class inside the graph minus the matching, and
    map each class vertex to its class.
-2. :func:`build_cascading_sequence` — grow the rooted forests that
-   connect the non-matching classes of each component, ordering each tree
-   and extracting its pairs (one per leaf) as it is grown.
-3. :func:`collect_repetition_pairs` — record the pairs the sequence
-   carries, check them, and classify the paired matching colours.
-4. :func:`verify_bound_chain` — check every counting relation with
-   exact rationals and report the certified colour/ratio statistics.
+2. :func:`build_cascading_sequence` ``(dec)`` — grow the rooted forests
+   that connect the non-matching classes of each component, ordering each
+   tree and extracting its pairs (one per leaf) as it is grown.
+3. :func:`collect_repetition_pairs` ``(dec, seq)`` — record the pairs the
+   sequence carries, check them, and classify the paired matching colours.
+4. :func:`verify_bound_chain` ``(dec, rp)`` — check every counting
+   relation with exact rationals (the 8/5 tail exactly when the graph is
+   triangle-free) and report the certified colour/ratio statistics.
 
 :func:`analyse` runs all four.
 """
@@ -62,14 +63,9 @@ __all__ = [
 ]
 
 
-def analyse(
-    g: Graph,
-    matching: Matching,
-    colouring: EdgeColouring,
-    triangle_free: bool | None = None,
-) -> BoundReport:
+def analyse(g: Graph, matching: Matching, colouring: EdgeColouring) -> BoundReport:
     """Run the full pipeline and return the bound report for one instance."""
     dec = decompose(g, matching, colouring)
     seq = build_cascading_sequence(dec)
-    rp = collect_repetition_pairs(seq, colouring, matching)
-    return verify_bound_chain(dec, rp, triangle_free)
+    rp = collect_repetition_pairs(dec, seq)
+    return verify_bound_chain(dec, rp)

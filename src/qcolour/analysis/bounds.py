@@ -111,20 +111,15 @@ class BoundReport:
         }
 
 
-def verify_bound_chain(
-    dec: ColourDecomposition,
-    rp: RepetitionPairs,
-    triangle_free: bool | None = None,
-) -> BoundReport:
+def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundReport:
     """Check the full counting chain on one decomposed instance.
 
-    ``triangle_free`` selects the stronger tail of the chain; ``None``
-    detects it from the graph.  Violated relations are recorded, not
+    The stronger triangle-free tail of the chain is checked exactly when
+    the graph has no triangle.  Violated relations are recorded, not
     raised.
     """
     g = dec.graph
-    if triangle_free is None:
-        triangle_free = is_triangle_free(g)
+    triangle_free = is_triangle_free(g)
 
     n = g.n
     msize = dec.matching.size
@@ -156,7 +151,7 @@ def verify_bound_chain(
     bad = sum(
         1
         for j in rp.paired_colours
-        if Fraction(2 * rp.repetition[j]) < Fraction(pair_count[j] - 1)
+        if 2 * rp.repetition[j] < pair_count[j] - 1
     )
     entries.append(_entry("pair_repetition_floor", bad, 0, "=="))
 

@@ -55,9 +55,8 @@ class ColourDecomposition:
     ``gm_components`` are the edge-containing components C_1..C_h of the graph
     minus the matching, in min-vertex order; ``component_colours[i]`` lists
     the non-matching colours whose class lies inside C_i (so ``k[i]`` is its
-    length); ``mcl[v]`` is the colour of the matching edge at v;
-    ``vertex_class[v]`` is the non-matching colour whose class holds v, for
-    every vertex of such a class.
+    length); ``vertex_class[v]`` is the non-matching colour whose class holds
+    v, for every vertex of such a class.
     """
 
     graph: Graph
@@ -67,7 +66,6 @@ class ColourDecomposition:
     non_matching_colours: frozenset[int]
     gm_components: tuple[Component, ...]
     component_colours: tuple[tuple[int, ...], ...]
-    mcl: tuple[int, ...]
     vertex_class: dict[int, int] = field(hash=False)
 
     @property
@@ -162,6 +160,5 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
         non_matching_colours=c_n,
         gm_components=gm_comps,
         component_colours=tuple(tuple(cc) for cc in comp_colours),
-        mcl=matched_colour_map(col, m),
         vertex_class=vertex_class,
     )

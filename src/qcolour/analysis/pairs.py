@@ -11,12 +11,9 @@ separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
-from ..colouring import EdgeColouring
-from ..matching import Matching
-from .decompose import matched_colour_map
+from .decompose import ColourDecomposition, matched_colour_map
 from .forests import RootedForestSeq
 # tree_repetition_pairs is not called here; bench/tracing.py probes it here.
 from .repetition import repetition_content, tree_repetition_pairs  # noqa: F401
@@ -107,11 +104,10 @@ def _interior_clashes(records: list[PairRecord]) -> int:
 
 
 def collect_repetition_pairs(
-    seq: RootedForestSeq,
-    col: EdgeColouring,
-    m: Matching,
+    dec: ColourDecomposition, seq: RootedForestSeq
 ) -> RepetitionPairs:
-    """Record, check and classify the pairs a forest sequence carries.
+    """Record, check and classify the pairs of ``seq``, the forest sequence
+    built from ``dec``.
 
     Reads each tree's pairs from ``seq.tree_pairs``, records their paths,
     and asserts the structural guarantees the pairing construction does
@@ -121,9 +117,9 @@ def collect_repetition_pairs(
     order of each pair is certified where the tree order is built, by
     :func:`tree_repetition_pairs`.
     """
-    g = seq.graph
-    if col.graph is not g or m.graph is not g:
-        raise ValueError("forest sequence, colouring and matching disagree on graph")
+    if seq.graph is not dec.graph:
+        raise ValueError("forest sequence and decomposition disagree on graph")
+    col, m = dec.colouring, dec.matching
     mcl = matched_colour_map(col, m)
 
     records: list[PairRecord] = []
@@ -165,8 +161,7 @@ def collect_repetition_pairs(
         matched_pairs[colour] = tuple(r for r in recs if r.matched)
         rp = repetition_content(support, m, col)
         repetition[colour] = rp
-        threshold = Fraction(len(recs) - len(matched_pairs[colour]), 2)
-        if rp >= threshold:
+        if 2 * rp >= len(recs) - len(matched_pairs[colour]):
             high.add(colour)
         else:
             low.add(colour)

@@ -118,9 +118,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     m = parse_matching(_read_text(args.matching), g)
     col = parse_colouring(_read_text(args.colouring), g)
-    flag = {"auto": None, "on": True, "off": False}[args.triangle_free]
     try:
-        report = analyse(g, m, col, triangle_free=flag)
+        report = analyse(g, m, col)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
@@ -171,7 +170,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 row["status"] = "incomplete"
                 rows.append(row)
                 continue
-            ratio = Fraction(res.opt, inst.matching.size + inst.h)
+            ratio = Fraction(res.opt, inst.alg_colours)
             try:
                 report = analyse(inst.graph, inst.matching, res.witness)
                 analysis_ok = report.all_passed
@@ -235,12 +234,6 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("matching")
     p.add_argument("colouring")
-    p.add_argument(
-        "--triangle-free",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="force or suppress the triangle-free refinements (default: detect)",
-    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 

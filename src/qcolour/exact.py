@@ -17,6 +17,9 @@ from .graph import Graph
 
 ORACLE_EDGE_LIMIT = 12
 DIRECT_EDGE_LIMIT = 8
+# optimal_colouring recurses once per edge; this keeps it well inside
+# Python's default recursion limit of 1000 frames.
+EXACT_EDGE_LIMIT = 500
 
 
 class SearchIncompleteError(RuntimeError):
@@ -59,12 +62,17 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     budget; assigning fresh colours in first-appearance order means each
     colour partition is enumerated exactly once, in canonical form.  A node is
     one candidate assignment; ``budget`` caps the node count and exceeding it
-    returns the incumbent with ``complete=False``.
+    returns the incumbent with ``complete=False``.  Refuses graphs with more
+    than ``EXACT_EDGE_LIMIT`` edges.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
+    if g.m > EXACT_EDGE_LIMIT:
+        raise ValueError(
+            f"exact search limited to {EXACT_EDGE_LIMIT} edges, graph has {g.m}"
+        )
     m = g.m
     if m == 0:
         return ExactResult(0, EdgeColouring(g, ()), 0, True)

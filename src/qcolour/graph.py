@@ -49,7 +49,10 @@ class Graph:
         ids: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for eid, edge in enumerate(edges):
-            u, v = edge
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InvalidEdgeError(eid, f"is not a pair of ints: {edge!r}") from None
             if type(u) is not int or type(v) is not int or type(edge) is not tuple:
                 raise InvalidEdgeError(eid, f"is not a pair of ints: {edge!r}")
             if not (0 <= u < self.n and 0 <= v < self.n):

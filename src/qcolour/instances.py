@@ -32,7 +32,7 @@ from .colouring import (
     parse_colouring,
     validate,
 )
-from .graph import Graph, parse_graph
+from .graph import Graph, is_triangle_free, parse_graph
 from .matching import Matching, is_maximum, is_perfect, maximum_matching, parse_matching
 
 __all__ = [
@@ -51,18 +51,17 @@ class CertifiedInstance:
     ``alg_colouring`` is the output of the matching-based algorithm on
     ``graph``; ``certified_colouring``, when present, is a known-valid
     colouring with more colours, witnessing a gap between the algorithm
-    and the optimum.  Construction re-checks every claimed property, so
-    holding a ``CertifiedInstance`` is proof the instance is sound.
+    and the optimum.  Construction re-checks every claimed property, and
+    ``h`` and ``triangle_free`` are derived, not stored, so holding a
+    ``CertifiedInstance`` is proof the instance is sound.
     """
 
     graph: Graph
     matching: Matching
     alg_colouring: EdgeColouring
-    h: int
     certified_colouring: EdgeColouring | None
     generator: str
     seed: int | None
-    triangle_free: bool
 
     def __post_init__(self) -> None:
         if not is_maximum(self.graph, self.matching):
@@ -79,6 +78,15 @@ class CertifiedInstance:
     def alg_colours(self) -> int:
         """Number of colours the matching-based algorithm used."""
         return self.alg_colouring.num_colours
+
+    @property
+    def h(self) -> int:
+        """Edge-containing components of G - M: algorithm colours beyond |M|."""
+        return self.alg_colours - self.matching.size
+
+    @property
+    def triangle_free(self) -> bool:
+        return is_triangle_free(self.graph)
 
     @property
     def certified_ratio(self) -> Fraction | None:
@@ -99,8 +107,8 @@ def fig5_lower_bound() -> CertifiedInstance:
     edges; removing the matching leaves a single edge-containing
     component, so the matching-based algorithm outputs 36 + 1 = 37
     colours.  The bundled certificate is a valid 58-colour assignment,
-    giving the ratio 58/37.  All of those properties are re-verified on
-    every load; a failure means the data files were corrupted.
+    giving the ratio 58/37.  The counts are re-verified on every load; a
+    failure means the data files were corrupted.
     """
     g = parse_graph(_load_data("fig5.graph"))
     m = parse_matching(_load_data("fig5.matching"), g)
@@ -128,29 +136,23 @@ def fig5_lower_bound() -> CertifiedInstance:
         graph=g,
         matching=m,
         alg_colouring=alg_col,
-        h=h,
         certified_colouring=cert,
         generator="fig5_lower_bound",
         seed=None,
-        triangle_free=True,
     )
 
 
-def _certify(
-    g: Graph, generator: str, seed: int, triangle_free: bool
-) -> CertifiedInstance:
-    col, m, h = matching_based_colouring(g)
+def _certify(g: Graph, generator: str, seed: int) -> CertifiedInstance:
+    col, m, _ = matching_based_colouring(g)
     if not is_perfect(g, m):
         raise AssertionError("generator promised a perfect matching")
     return CertifiedInstance(
         graph=g,
         matching=m,
         alg_colouring=col,
-        h=h,
         certified_colouring=None,
         generator=generator,
         seed=seed,
-        triangle_free=triangle_free,
     )
 
 
@@ -188,7 +190,7 @@ def random_with_perfect_matching(
         if (u, v) not in pm_set and rng.random() < extra_edge_prob
     ]
     g = Graph(n, tuple(pm + extras))
-    return _certify(g, "random_with_perfect_matching", seed, triangle_free=False)
+    return _certify(g, "random_with_perfect_matching", seed)
 
 
 def random_triangle_free_with_pm(
@@ -227,7 +229,7 @@ def random_triangle_free_with_pm(
                 extras.append((u, v))
     extras.sort()
     g = Graph(n, tuple(pm + extras))
-    return _certify(g, "random_triangle_free_with_pm", seed, triangle_free=True)
+    return _certify(g, "random_triangle_free_with_pm", seed)
 
 
 _NAMED_PATTERN = re.compile(r"^(path|cycle|complete|star)_(\d+)$")

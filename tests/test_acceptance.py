@@ -270,7 +270,7 @@ def test_criterion_7_structural_constructions(corpus):
         def cascade_fixture(e=entry):
             dec = decompose(e.inst.graph, e.inst.matching, e.res.witness)
             seq = build_cascading_sequence(dec)
-            rp = collect_repetition_pairs(seq, dec.colouring, dec.matching)
+            rp = collect_repetition_pairs(dec, seq)
             assert sum(len(t.leaves()) for t in seq.trees()) == sum(
                 k - 1 for k in dec.k
             )
@@ -286,8 +286,9 @@ def test_criterion_7_structural_constructions(corpus):
                     assert len(support) == 4
                 elif colour in rp.low_large:
                     assert len(support) >= 6
+            mcl = matched_colour_map(dec.colouring, dec.matching)
             for rec in rp.records:
-                assert dec.mcl[rec.u] == dec.mcl[rec.v] == rec.colour
+                assert mcl[rec.u] == mcl[rec.v] == rec.colour
                 assert rec.matched == (dec.matching.mate[rec.u] == rec.v)
 
         run(cascade_fixture)

@@ -54,7 +54,7 @@ def test_decompose_rainbow_square():
     assert dec.h == 2
     assert dec.k == (1, 1)
     assert dec.component_colours == ((1,), (2,))
-    assert dec.mcl == (0, 0, 3, 3)
+    assert matched_colour_map(col, m) == (0, 0, 3, 3)
     assert dec.num_colours == 4
 
 
@@ -359,7 +359,7 @@ def test_collected_pairs_on_lower_bound_instance():
     inst = fig5_lower_bound()
     dec = decompose(inst.graph, inst.matching, inst.certified_colouring)
     seq = build_cascading_sequence(dec)
-    rp = collect_repetition_pairs(seq, dec.colouring, dec.matching)
+    rp = collect_repetition_pairs(dec, seq)
     assert len(rp.records) == 35
     assert rp.total_repetition == 14
     assert len(rp.paired_colours) == 7
@@ -396,11 +396,12 @@ def test_collected_pairs_identity_on_witnesses():
             continue
         dec = _optimal_decomposition(inst)
         seq = build_cascading_sequence(dec)
-        rp = collect_repetition_pairs(seq, dec.colouring, dec.matching)
+        rp = collect_repetition_pairs(dec, seq)
         assert len(rp.records) == len(dec.non_matching_colours) - dec.h
         seen_pairs += len(rp.records)
+        mcl = matched_colour_map(dec.colouring, dec.matching)
         for rec in rp.records:
-            assert dec.mcl[rec.u] == dec.mcl[rec.v] == rec.colour
+            assert mcl[rec.u] == mcl[rec.v] == rec.colour
     assert seen_pairs > 0
 
 
@@ -440,10 +441,9 @@ def test_bound_report_json_is_deterministic():
 
 
 def test_bound_report_without_triangle_refinements():
-    inst = fig5_lower_bound()
-    report = analyse(
-        inst.graph, inst.matching, inst.certified_colouring, triangle_free=False
-    )
+    # This instance has a triangle, so the refinements are left out.
+    inst = random_with_perfect_matching(6, 0.5, 6)
+    report = analyse(inst.graph, inst.matching, optimal_colouring(inst.graph).witness)
     assert not report.triangle_free
     ids = {e.id for e in report.entries}
     assert "approximation_5_3" in ids

@@ -18,6 +18,7 @@ from qcolour.cli import (
     EXIT_USAGE,
     main,
 )
+from qcolour.exact import EXACT_EDGE_LIMIT
 from qcolour.instances import fig5_lower_bound, named, random_with_perfect_matching
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -91,6 +92,17 @@ def test_exact_rejects_bad_flags(square):
     assert main(["exact", str(square), "--budget", "-1"]) == EXIT_USAGE
 
 
+def test_exact_beyond_the_edge_limit_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "long.graph"
+    path.write_text(serialize_graph(named(f"path_{EXACT_EDGE_LIMIT + 2}")))
+    assert main(["exact", str(path), "--budget", "5000"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: exact search limited to {EXACT_EDGE_LIMIT} edges, "
+        f"graph has {EXACT_EDGE_LIMIT + 1}\n"
+    )
+
+
 def test_verify_valid_and_corrupted(capsys, square, tmp_path):
     res = optimal_colouring(named("cycle_4"))
     good = tmp_path / "good.colouring"
@@ -151,9 +163,7 @@ def test_analyze_structural_failure(capsys, tmp_path):
     assert "perfect" in capsys.readouterr().err
 
 
-def test_analyze_forced_triangle_free_reports_failures(capsys, tmp_path):
-    # Forcing the triangle-free refinements on a graph with triangles
-    # lets exactly the refinement that needs them fail, with exit 3.
+def test_analyze_detects_a_triangle_and_takes_no_option(capsys, tmp_path):
     inst = random_with_perfect_matching(6, 0.5, 6)
     res = optimal_colouring(inst.graph)
     gfile = tmp_path / "g.graph"
@@ -162,15 +172,16 @@ def test_analyze_forced_triangle_free_reports_failures(capsys, tmp_path):
     mfile.write_text(serialize_matching(inst.matching))
     cfile = tmp_path / "g.colouring"
     cfile.write_text(serialize_colouring(res.witness))
+    assert main(["analyze", str(gfile), str(mfile), str(cfile)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["triangle_free"] is False
+    assert not any(e["id"].endswith("_tf") for e in doc["entries"])
+    # Triangle-freeness is always read off the graph; there is no option.
     code = main([
         "analyze", str(gfile), str(mfile), str(cfile), "--triangle-free", "on"
     ])
-    assert code == EXIT_FAILED
-    doc = json.loads(capsys.readouterr().out)
-    failing = [e["id"] for e in doc["entries"] if not e["passed"]]
-    assert failing == ["matched_pair_interior_tf"]
-    # Auto-detection leaves the refinements out and everything passes.
-    assert main(["analyze", str(gfile), str(mfile), str(cfile)]) == EXIT_OK
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments: --triangle-free" in capsys.readouterr().err
 
 
 def test_analyze_deep_path(capsys, tmp_path):

@@ -15,7 +15,7 @@ from qcolour import (
     oracle_optimal,
     validate,
 )
-from qcolour.exact import result_to_json
+from qcolour.exact import EXACT_EDGE_LIMIT, result_to_json
 from qcolour.instances import named
 from helpers import random_graph
 
@@ -87,6 +87,16 @@ def test_rejects_bad_parameters():
         optimal_colouring(g, q=0)
     with pytest.raises(ValueError, match="nonnegative"):
         optimal_colouring(g, budget=-1)
+
+
+def test_edge_limit_bounds_the_search_depth():
+    # The search recurses once per edge: exactly at the limit it still runs
+    # to the bottom (a path takes a fresh colour on every edge, so the first
+    # leaf is the optimum), one edge more is refused before any recursion.
+    res = optimal_colouring(named(f"path_{EXACT_EDGE_LIMIT + 1}"), budget=1000)
+    assert res.opt == EXACT_EDGE_LIMIT
+    with pytest.raises(ValueError, match=f"limited to {EXACT_EDGE_LIMIT} edges"):
+        optimal_colouring(named(f"path_{EXACT_EDGE_LIMIT + 2}"), budget=1000)
 
 
 def test_result_json_is_stable():

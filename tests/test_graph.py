@@ -35,7 +35,9 @@ def test_rejects_endpoint_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "edge", [(0, 1.7), ("2", 1), (True, 2), (0, 1.0), [0, 1]], ids=repr
+    "edge",
+    [(0, 1.7), ("2", 1), (True, 2), (0, 1.0), [0, 1], (0, 1, 2), (0,), 5],
+    ids=repr,
 )
 def test_rejects_edge_that_is_not_a_pair_of_ints(edge):
     with pytest.raises(InvalidEdgeError, match="edge 1 is not a pair of ints") as exc:

@@ -8,6 +8,7 @@ from qcolour import (
     is_maximum,
     is_perfect,
     is_triangle_free,
+    matching_based_colouring,
     maximum_matching,
     parse_graph,
     serialize_graph,
@@ -111,6 +112,22 @@ def test_random_tf_always_triangle_free():
         assert is_perfect(inst.graph, inst.matching)
 
 
+def test_generated_instances_derive_h_and_triangle_freeness():
+    # Sparse pm instances are often triangle-free too; the property must
+    # say so rather than name the family.
+    seen = set()
+    for gen in (random_with_perfect_matching, random_triangle_free_with_pm):
+        for n in (4, 6, 8, 10):
+            for seed in range(8):
+                inst = gen(n, 0.3, seed)
+                assert inst.triangle_free == is_triangle_free(inst.graph)
+                h = matching_based_colouring(inst.graph)[2]
+                assert inst.h == inst.alg_colours - inst.matching.size == h
+                seen.add((gen.__name__, inst.triangle_free))
+    assert ("random_with_perfect_matching", True) in seen
+    assert ("random_with_perfect_matching", False) in seen
+
+
 def test_certified_instance_rejects_non_maximum_matching():
     from qcolour import Matching
 
@@ -121,11 +138,9 @@ def test_certified_instance_rejects_non_maximum_matching():
             graph=inst.graph,
             matching=weak,
             alg_colouring=inst.alg_colouring,
-            h=inst.h,
             certified_colouring=None,
             generator="test",
             seed=0,
-            triangle_free=False,
         )
 
 
