@@ -10,9 +10,10 @@ enumeration oracles are provided.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, matching_based_colouring
 from .graph import Graph
 
 ORACLE_EDGE_LIMIT = 12
@@ -60,10 +61,23 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     candidates are one fresh colour (tried first, so deep palettes are found
     early) plus every already-used colour that keeps both endpoints within
     budget; assigning fresh colours in first-appearance order means each
-    colour partition is enumerated exactly once, in canonical form.  A node is
-    one candidate assignment; ``budget`` caps the node count and exceeding it
-    returns the incumbent with ``complete=False``.  Refuses graphs with more
-    than ``EXACT_EDGE_LIMIT`` edges.
+    colour partition is enumerated exactly once, in canonical form.
+
+    Slot bound: a vertex v with unassigned edges has
+    ``free(v) = min(q - |palette(v)|, unassigned degree of v)`` slots for
+    colours it has not seen, and a colour not used yet needs a slot at both
+    endpoints of some unassigned edge.  So a partial colouring with ``used``
+    colours and ``k`` unassigned edges reaches at most
+    ``used + min(k, S // 2)`` colours, ``S`` the sum of the free slots.  A
+    child whose bound cannot beat the incumbent is cut before it counts, so a
+    node is a candidate assignment that passed the bound.  Only subtrees that
+    cannot strictly improve are cut, so a complete search returns the same
+    optimum and witness as the unpruned enumeration order.
+
+    ``budget`` caps the node count; exceeding it returns ``complete=False``
+    with the incumbent, or for ``q >= 2`` the matching-based approximation if
+    that has more colours.  Refuses graphs with more than
+    ``EXACT_EDGE_LIMIT`` edges.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
@@ -77,61 +91,108 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     if m == 0:
         return ExactResult(0, EdgeColouring(g, ()), 0, True)
 
+    edges = g.edges
+    # after_u[eid], after_v[eid]: unassigned degree of each endpoint once
+    # edge eid is assigned.  The edge order is fixed, so these are static.
+    after_u = [0] * m
+    after_v = [0] * m
+    degree = [0] * g.n
+    for eid in range(m - 1, -1, -1):
+        u, v = edges[eid]
+        after_u[eid] = degree[u]
+        after_v[eid] = degree[v]
+        degree[u] += 1
+        degree[v] += 1
+    root_slots = sum(min(q, d) for d in degree)
+
     # Incumbent: the all-one-colour assignment is valid for every q >= 1.
     best_count = 1
     best_assign = [0] * m
     assign = [0] * m
-    vertex_seen: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    # palette[v]: colour -> number of assigned edges at v with that colour.
+    palette: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    limit = budget if budget is not None else sys.maxsize
     nodes = 0
     out_of_budget = False
 
-    def room(v: int, c: int) -> bool:
-        seen = vertex_seen[v]
-        return c in seen or len(seen) < q
-
-    def place(eid: int, c: int) -> None:
-        for v in g.edges[eid]:
-            seen = vertex_seen[v]
-            seen[c] = seen.get(c, 0) + 1
-
-    def unplace(eid: int, c: int) -> None:
-        for v in g.edges[eid]:
-            seen = vertex_seen[v]
-            seen[c] -= 1
-            if not seen[c]:
-                del seen[c]
-
-    def dfs(eid: int, used: int) -> None:
+    def dfs(eid: int, used: int, slots: int) -> None:
+        # ``slots`` is S before edge ``eid`` is assigned.
         nonlocal best_count, nodes, out_of_budget
-        if out_of_budget:
-            return
         if eid == m:
-            if used > best_count:
-                best_count = used
-                best_assign[:] = assign
+            # Only a child that beats the incumbent reaches a leaf.
+            best_count = used
+            best_assign[:] = assign
             return
-        if used + (m - eid) <= best_count:
+        u, v = edges[eid]
+        pal_u = palette[u]
+        pal_v = palette[v]
+        room_u = q - len(pal_u)
+        room_v = q - len(pal_v)
+        au = after_u[eid]
+        av = after_v[eid]
+        left = m - eid - 1
+        others = slots - min(room_u, au + 1) - min(room_v, av + 1)
+        if room_u and room_v:
+            child = others + min(room_u - 1, au) + min(room_v - 1, av)
+            if used + 1 + min(left, child >> 1) > best_count:
+                if nodes >= limit:
+                    out_of_budget = True
+                    return
+                nodes += 1
+                assign[eid] = used
+                pal_u[used] = 1
+                pal_v[used] = 1
+                dfs(eid + 1, used + 1, child)
+                del pal_u[used]
+                del pal_v[used]
+        # A reused colour that both endpoints have seen keeps the most slots.
+        most = others + min(room_u, au) + min(room_v, av)
+        if used + min(left, most >> 1) <= best_count:
             return
-        u, v = g.edges[eid]
-        candidates = []
-        if room(u, used) and room(v, used):
-            candidates.append(used)
-        for c in range(used):
-            if room(u, c) and room(v, c):
-                candidates.append(c)
-        for c in candidates:
-            if budget is not None and nodes >= budget:
+        # A full palette admits only its own colours; iterate those directly,
+        # still in increasing order.
+        if room_u and room_v:
+            reusable = range(used)
+        elif room_u:
+            reusable = sorted(pal_v)
+        elif room_v:
+            reusable = sorted(pal_u)
+        else:
+            reusable = sorted(c for c in pal_u if c in pal_v)
+        for c in reusable:
+            seen_u = c in pal_u
+            seen_v = c in pal_v
+            child = others + min(room_u - (not seen_u), au) + min(room_v - (not seen_v), av)
+            if used + min(left, child >> 1) <= best_count:
+                continue
+            if nodes >= limit:
                 out_of_budget = True
                 return
             nodes += 1
             assign[eid] = c
-            place(eid, c)
-            dfs(eid + 1, used + 1 if c == used else used)
-            unplace(eid, c)
+            pal_u[c] = pal_u.get(c, 0) + 1
+            pal_v[c] = pal_v.get(c, 0) + 1
+            dfs(eid + 1, used, child)
+            if seen_u:
+                pal_u[c] -= 1
+            else:
+                del pal_u[c]
+            if seen_v:
+                pal_v[c] -= 1
+            else:
+                del pal_v[c]
 
-    dfs(0, 0)
+    dfs(0, 0, root_slots)
     witness = EdgeColouring(g, tuple(best_assign))
-    assert witness.num_colours == best_count
+    if out_of_budget and q >= 2:
+        approx = matching_based_colouring(g)[0]
+        if approx.num_colours > best_count:
+            witness = approx
+            best_count = approx.num_colours
+    if witness.num_colours != best_count:
+        raise RuntimeError(
+            f"witness has {witness.num_colours} colours, search counted {best_count}"
+        )
     return ExactResult(best_count, witness, nodes, not out_of_budget)
 
 

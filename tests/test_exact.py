@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -11,13 +12,23 @@ from qcolour import (
     SearchIncompleteError,
     anti_ramsey_star,
     direct_anti_ramsey_star,
+    matching_based_colouring,
     optimal_colouring,
     oracle_optimal,
     validate,
 )
 from qcolour.exact import EXACT_EDGE_LIMIT, result_to_json
-from qcolour.instances import named
+from qcolour.instances import (
+    named,
+    random_triangle_free_with_pm,
+    random_with_perfect_matching,
+)
 from helpers import random_graph
+
+# SHA-256 over (opt, witness) of every fixture below, computed with the
+# search as it was before the slot bound was added: pruning may only
+# cut subtrees that cannot beat the incumbent, so both must stay identical.
+PINNED_EXACT_DIGEST = "7269ab1cdd24492b0d4952c755f4198f6cbb6937c72a771c23c9a7a64443caec"
 
 
 @pytest.mark.parametrize(
@@ -53,10 +64,16 @@ def test_edgeless_graph_has_zero_colours():
 
 
 def test_budget_zero_returns_trivial_incumbent():
-    res = optimal_colouring(named("cycle_4"), budget=0)
+    g = named("cycle_4")
+    res = optimal_colouring(g, q=1, budget=0)
     assert not res.complete
     assert res.opt == 1  # the all-one-colour fallback
-    assert validate(named("cycle_4"), res.witness, 2).valid
+    assert validate(g, res.witness, 1).valid
+    # For q >= 2 an exhausted budget returns at least the approximation.
+    res = optimal_colouring(g, budget=0)
+    assert not res.complete
+    assert res.opt == matching_based_colouring(g)[0].num_colours == 4
+    assert validate(g, res.witness, 2).valid
 
 
 def test_budget_exhaustion_keeps_partial_incumbent_valid():
@@ -94,9 +111,47 @@ def test_edge_limit_bounds_the_search_depth():
     # to the bottom (a path takes a fresh colour on every edge, so the first
     # leaf is the optimum), one edge more is refused before any recursion.
     res = optimal_colouring(named(f"path_{EXACT_EDGE_LIMIT + 1}"), budget=1000)
+    assert res.complete
     assert res.opt == EXACT_EDGE_LIMIT
     with pytest.raises(ValueError, match=f"limited to {EXACT_EDGE_LIMIT} edges"):
         optimal_colouring(named(f"path_{EXACT_EDGE_LIMIT + 2}"), budget=1000)
+
+
+def _pinned_fixtures():
+    for gen in (random_with_perfect_matching, random_triangle_free_with_pm):
+        for n in (8, 10, 12):
+            for seed in range(3):
+                yield f"{gen.__name__} {n} {seed}", gen(n, 0.3, seed).graph, 2
+    names = ("path_5", "cycle_5", "cycle_6", "star_4", "complete_4", "complete_5",
+             "complete_6", "petersen")
+    for name in names:
+        for q in (1, 2, 3):
+            yield f"{name} q={q}", named(name), q
+
+
+def test_optimum_and_witness_match_pinned_digest():
+    digest = hashlib.sha256()
+    for label, g, q in _pinned_fixtures():
+        res = optimal_colouring(g, q)
+        assert res.complete
+        digest.update(f"{label}: {res.opt} {list(res.witness.colour)}\n".encode())
+    assert digest.hexdigest() == PINNED_EXACT_DIGEST
+
+
+@pytest.mark.parametrize("k", [2, 3, 50, 400])
+def test_path_takes_one_node_per_edge(k):
+    # The first dive gives every edge a fresh colour, which meets the bound
+    # of one colour per edge, so no other child may count as a node.
+    res = optimal_colouring(named(f"path_{k + 1}"))
+    assert res.complete and res.opt == k
+    assert res.nodes_explored == k
+
+
+@pytest.mark.parametrize("name, opt", [("petersen", 7), ("complete_6", 4), ("complete_7", 4)])
+def test_slot_bound_keeps_named_graphs_under_a_thousand_nodes(name, opt):
+    res = optimal_colouring(named(name))
+    assert res.complete and res.opt == opt
+    assert res.nodes_explored < 1000
 
 
 def test_result_json_is_stable():
