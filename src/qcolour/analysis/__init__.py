@@ -10,7 +10,9 @@ and colouring; every later stage takes the decomposition it returns:
    that connect the non-matching classes of each component, ordering each
    tree and extracting its pairs (one per leaf) as it is grown.
 3. :func:`collect_repetition_pairs` ``(dec, seq)`` — record the pairs the
-   sequence carries, check them, and classify the paired matching colours.
+   sequence carries, check them, and keep one :class:`ColourPairs` per
+   paired matching colour: its pairs, support, repetition content and
+   class (high, low-large or low-small).
 4. :func:`verify_bound_chain` ``(dec, rp)`` — check every counting
    relation with exact rationals (the 8/5 tail exactly when the graph is
    triangle-free) and report the certified colour/ratio statistics.
@@ -35,13 +37,14 @@ from .decompose import (
     matched_colour_map,
 )
 from .forests import RootedForestSeq, RootedTree, build_cascading_sequence
-from .pairs import PairRecord, RepetitionPairs, collect_repetition_pairs
+from .pairs import ColourPairs, PairRecord, RepetitionPairs, collect_repetition_pairs
 from .repetition import path_repetition, repetition_content, tree_repetition_pairs
 
 __all__ = [
     "BoundEntry",
     "BoundReport",
     "ColourDecomposition",
+    "ColourPairs",
     "DisconnectedColourClassError",
     "ImperfectMatchingError",
     "InvalidColouringError",

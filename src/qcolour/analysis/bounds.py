@@ -127,13 +127,14 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
     c = dec.num_colours
     cm = len(dec.matching_colours)
     cn = len(dec.non_matching_colours)
-    total_rp = rp.total_repetition
-    pair_count = {j: len(rp.pairs_of(j)) for j in rp.paired_colours}
-    matched_count = {j: len(rp.matched_pairs[j]) for j in rp.paired_colours}
-    delta = sum(matched_count[j] for j in rp.high)
-    n_low = len(rp.low)
-    n_low_large = len(rp.low_large)
-    n_low_small = len(rp.low_small)
+    colours = rp.colours.values()
+    high = [cp for cp in colours if cp.kind == "high"]
+    low = [cp for cp in colours if cp.kind != "high"]
+    total_rp = sum(cp.repetition for cp in colours)
+    delta = sum(cp.matched for cp in high)
+    n_low = len(low)
+    n_low_small = sum(cp.kind == "low_small" for cp in low)
+    n_low_large = n_low - n_low_small
     total_pairs = len(rp.records)
 
     entries: list[BoundEntry] = []
@@ -141,35 +142,27 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
     entries.append(_entry("matching_colour_budget", cm, msize - total_rp, "<="))
     entries.append(_entry("pair_count_identity", total_pairs, cn - h, "=="))
 
-    bad = sum(
-        1
-        for j in rp.paired_colours
-        if len(rp.supports[j]) < pair_count[j] + 1
-    )
+    bad = sum(1 for cp in colours if len(cp.support) < len(cp.records) + 1)
     entries.append(_entry("pair_support_size", bad, 0, "=="))
 
-    bad = sum(
-        1
-        for j in rp.paired_colours
-        if 2 * rp.repetition[j] < pair_count[j] - 1
-    )
+    bad = sum(1 for cp in colours if 2 * cp.repetition < len(cp.records) - 1)
     entries.append(_entry("pair_repetition_floor", bad, 0, "=="))
 
-    bad = sum(1 for j in rp.paired_colours if matched_count[j] > 0 and j not in rp.high)
+    bad = sum(1 for cp in low if cp.matched > 0)
     entries.append(_entry("matched_pairs_force_high", bad, 0, "=="))
 
     mate = dec.matching.mate
     bad = 0
-    for j in rp.low:
-        support = rp.supports[j]
+    for cp in low:
+        support = cp.support
         closed = all(mate[v] in support for v in support)
         maxima = rp.seq.maximal_elements(support)
-        star_ok = len(maxima) == 1 and support == rp.firsts[j] | set(maxima)
+        star_ok = len(maxima) == 1 and support == {r.u for r in cp.records} | set(maxima)
         if not (closed and star_ok):
             bad += 1
     entries.append(_entry("low_support_closure", bad, 0, "=="))
 
-    bad = sum(1 for j in rp.low if len(rp.supports[j]) < 4)
+    bad = sum(1 for cp in low if len(cp.support) < 4)
     entries.append(_entry("low_support_min_size", bad, 0, "=="))
 
     matched_records = [r for r in rp.records if r.matched]
@@ -190,9 +183,8 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
     )
 
     rhs = sum(
-        (Fraction(pair_count[j] - matched_count[j], 2) for j in rp.high),
-        Fraction(0),
-    ) + sum((Fraction(pair_count[j] - 1, 2) for j in rp.low), Fraction(0))
+        (Fraction(len(cp.records) - cp.matched, 2) for cp in high), Fraction(0)
+    ) + sum((Fraction(len(cp.records) - 1, 2) for cp in low), Fraction(0))
     entries.append(_entry("repetition_lower_bound", total_rp, rhs, ">="))
 
     entries.append(
@@ -236,10 +228,11 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
         bad = sum(1 for r in matched_records if len(r.path) < 4)
         entries.append(_entry("matched_pair_interior_tf", bad, 0, "=="))
 
-        bad = 0
-        for j in rp.low_small:
-            if not any(len(r.path) >= 3 for r in rp.pairs_of(j)):
-                bad += 1
+        bad = sum(
+            1
+            for cp in low
+            if cp.kind == "low_small" and not any(len(r.path) >= 3 for r in cp.records)
+        )
         entries.append(_entry("low_small_has_interior", bad, 0, "=="))
 
         entries.append(
@@ -292,8 +285,8 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
         colours=c,
         matching_colours=cm,
         non_matching_colours=cn,
-        paired_colours=len(rp.paired_colours),
-        high_colours=len(rp.high),
+        paired_colours=len(rp.colours),
+        high_colours=len(high),
         low_colours=n_low,
         low_large=n_low_large,
         low_small=n_low_small,

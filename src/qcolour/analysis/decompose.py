@@ -103,14 +103,16 @@ def _class_is_connected(g: Graph, eids: list[int]) -> bool:
 def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     """Validate and split ``col`` against ``m``.
 
-    Raises a :class:`StructuralError` subclass when the matching is not
-    perfect, the colouring is invalid for q = 2, or some colour class is
-    disconnected.  The components of G minus M come from one
-    ``components(g, m.edges)`` call, and each non-matching colour is filed
-    under the component of its first edge.
+    Raises a :class:`StructuralError` when the graph has no edges, or a
+    subclass when the matching is not perfect, the colouring is invalid for
+    q = 2, or some colour class is disconnected.  The components of G minus
+    M come from one ``components(g, m.edges)`` call, and each non-matching
+    colour is filed under the component of its first edge.
     """
     if m.graph != g or col.graph != g:
         raise ValueError("matching/colouring belong to a different graph")
+    if g.m == 0:
+        raise StructuralError("graph has no edges to colour")
     if not is_perfect(g, m):
         exposed = next(v for v in range(g.n) if m.mate[v] is None)
         raise ImperfectMatchingError(

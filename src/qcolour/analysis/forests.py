@@ -83,12 +83,6 @@ class RootedTree:
             sorted(v for v in self.postorder if v != self.root and not self.children[v])
         )
 
-    def internal_vertices(self) -> tuple[int, ...]:
-        leaf_set = set(self.leaves())
-        return tuple(
-            sorted(v for v in self.postorder if v != self.root and v not in leaf_set)
-        )
-
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """Vertices of the unique u-v path in the tree, endpoints included."""
         anc_u = [u]
@@ -103,14 +97,6 @@ class RootedTree:
             x = self.parent[x]
             down.append(x)
         return tuple(anc_u[: pos[x]]) + tuple(reversed(down))
-
-    def path_edges(self, u: int, v: int) -> tuple[int, ...]:
-        """Edge ids along the u-v path."""
-        verts = self.path(u, v)
-        out = []
-        for x, y in zip(verts, verts[1:]):
-            out.append(self.parent_edge[x] if self.parent.get(x) == y else self.parent_edge[y])
-        return tuple(out)
 
     def preceq(self, x: int, y: int) -> bool:
         """Per-tree order: larger postorder index is closer to the root."""
@@ -163,9 +149,6 @@ class RootedForestSeq:
 
     def trees(self) -> tuple[RootedTree, ...]:
         return self._trees
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._home)
 
     def preceq(self, x: int, y: int) -> bool:
         t = self._home.get(x)

@@ -18,7 +18,7 @@ from .forests import RootedForestSeq
 # tree_repetition_pairs is not called here; bench/tracing.py probes it here.
 from .repetition import repetition_content, tree_repetition_pairs  # noqa: F401
 
-__all__ = ["PairRecord", "RepetitionPairs", "collect_repetition_pairs"]
+__all__ = ["ColourPairs", "PairRecord", "RepetitionPairs", "collect_repetition_pairs"]
 
 
 @dataclass(frozen=True)
@@ -37,43 +37,40 @@ class PairRecord:
 
 
 @dataclass(frozen=True)
+class ColourPairs:
+    """The pairs of one paired matching colour and its class.
+
+    ``support`` holds both ends of every record and ``repetition`` is its
+    repetition content.  The colour is ``"high"`` when that content
+    reaches half the pair count less the ``matched`` count, otherwise it
+    is low: ``"low_large"`` with a support of six or more vertices,
+    ``"low_small"`` with four.
+    """
+
+    records: tuple[PairRecord, ...]
+    support: frozenset[int]
+    repetition: int
+    kind: str
+
+    @property
+    def matched(self) -> int:
+        """Number of records whose ends are matching partners."""
+        return sum(r.matched for r in self.records)
+
+
+@dataclass(frozen=True)
 class RepetitionPairs:
     """All pairs of a forest sequence, grouped and classified by colour.
 
-    ``by_colour[j]`` lists the records of colour ``j``; ``supports[j]`` is
-    the vertex support of colour ``j`` (both ends of every pair),
-    ``firsts[j]`` the first coordinates of its pairs, ``matched_pairs[j]``
-    the records whose ends are matching partners, and ``repetition[j]`` the
-    repetition content of the support.  A paired colour is *high* when its
-    content reaches half the pair count less the matched-pair count,
-    otherwise *low*; ``low_large`` and ``low_small`` split the low colours
-    by support size.  ``interior_clashes`` counts the record pairs of
-    different colours whose paths share an interior vertex.
+    ``colours`` maps each paired matching colour, in increasing order, to
+    its :class:`ColourPairs`.  ``interior_clashes`` counts the record
+    pairs of different colours whose paths share an interior vertex.
     """
 
     seq: RootedForestSeq
     records: tuple[PairRecord, ...]
-    by_colour: dict[int, tuple[PairRecord, ...]] = field(hash=False)
-    supports: dict[int, frozenset[int]] = field(hash=False)
-    firsts: dict[int, frozenset[int]] = field(hash=False)
-    matched_pairs: dict[int, tuple[PairRecord, ...]] = field(hash=False)
-    repetition: dict[int, int] = field(hash=False)
-    high: frozenset[int]
-    low: frozenset[int]
-    low_large: frozenset[int]
-    low_small: frozenset[int]
+    colours: dict[int, ColourPairs] = field(hash=False)
     interior_clashes: int
-
-    @property
-    def paired_colours(self) -> frozenset[int]:
-        return self.high | self.low
-
-    def pairs_of(self, colour: int) -> tuple[PairRecord, ...]:
-        return self.by_colour.get(colour, ())
-
-    @property
-    def total_repetition(self) -> int:
-        return sum(self.repetition.values())
 
 
 def _interior_clashes(records: list[PairRecord]) -> int:
@@ -119,7 +116,7 @@ def collect_repetition_pairs(
     """
     if seq.graph is not dec.graph:
         raise ValueError("forest sequence and decomposition disagree on graph")
-    col, m = dec.colouring, dec.matching
+    g, col, m = dec.graph, dec.colouring, dec.matching
     mcl = matched_colour_map(col, m)
 
     records: list[PairRecord] = []
@@ -132,8 +129,10 @@ def collect_repetition_pairs(
             firsts_seen.add(u)
             assert mcl[v] == colour
             path = tree.path(u, v)
-            for eid in tree.path_edges(u, v):
-                assert col.colour[eid] == colour, "pair paths must be monochromatic"
+            for x, y in zip(path, path[1:]):
+                assert col.colour[g.edge_id(x, y)] == colour, (
+                    "pair paths must be monochromatic"
+                )
             for x in path[1:-1]:
                 assert mcl[x] != colour, "interior vertices must not repeat the pair colour"
             records.append(
@@ -144,47 +143,26 @@ def collect_repetition_pairs(
     by_colour: dict[int, list[PairRecord]] = {}
     for r in records:
         by_colour.setdefault(r.colour, []).append(r)
-
-    supports: dict[int, frozenset[int]] = {}
-    firsts: dict[int, frozenset[int]] = {}
-    matched_pairs: dict[int, tuple[PairRecord, ...]] = {}
-    repetition: dict[int, int] = {}
-    high = set()
-    low = set()
-    low_large = set()
-    low_small = set()
+    colours: dict[int, ColourPairs] = {}
     for colour in sorted(by_colour):
-        recs = by_colour[colour]
+        recs = tuple(by_colour[colour])
         support = frozenset(r.u for r in recs) | frozenset(r.v for r in recs)
-        supports[colour] = support
-        firsts[colour] = frozenset(r.u for r in recs)
-        matched_pairs[colour] = tuple(r for r in recs if r.matched)
         rp = repetition_content(support, m, col)
-        repetition[colour] = rp
-        if 2 * rp >= len(recs) - len(matched_pairs[colour]):
-            high.add(colour)
+        if 2 * rp >= len(recs) - sum(r.matched for r in recs):
+            kind = "high"
+        elif len(support) >= 6:
+            kind = "low_large"
         else:
-            low.add(colour)
-            if len(support) >= 6:
-                low_large.add(colour)
-            else:
-                assert len(support) == 4, (
-                    "low supports are closed under matching partners, "
-                    "hence even and of size at least four"
-                )
-                low_small.add(colour)
+            assert len(support) == 4, (
+                "low supports are closed under matching partners, "
+                "hence even and of size at least four"
+            )
+            kind = "low_small"
+        colours[colour] = ColourPairs(recs, support, rp, kind)
 
     return RepetitionPairs(
         seq=seq,
         records=tuple(records),
-        by_colour={c: tuple(recs) for c, recs in sorted(by_colour.items())},
-        supports=supports,
-        firsts=firsts,
-        matched_pairs=matched_pairs,
-        repetition=repetition,
-        high=frozenset(high),
-        low=frozenset(low),
-        low_large=frozenset(low_large),
-        low_small=frozenset(low_small),
+        colours=colours,
         interior_clashes=interior_clashes,
     )

@@ -250,7 +250,8 @@ def check_pair_properties(
         assert tree_ordered.index[u] <= tree_ordered.index[v]
         assert mcl[u] == mcl[v]
         path = tree_ordered.path(u, v)
-        for eid in tree_ordered.path_edges(u, v):
+        for x, y in zip(path, path[1:]):
+            eid = tree_ordered.parent_edge[x if tree_ordered.parent.get(x) == y else y]
             assert col.colour[eid] == mcl[u], "pair path is not monochromatic"
         for w in path[1:-1]:
             assert mcl[w] != mcl[u], "interior vertex repeats the pair colour"

@@ -275,17 +275,12 @@ def test_criterion_7_structural_constructions(corpus):
                 k - 1 for k in dec.k
             )
             assert len(rp.records) == len(dec.non_matching_colours) - dec.h
-            assert rp.high | rp.low == rp.paired_colours
-            assert rp.low_large | rp.low_small == rp.low
-            assert set(rp.supports) == set(rp.paired_colours)
-            assert rp.total_repetition == sum(rp.repetition.values())
-            for colour in rp.paired_colours:
-                support = rp.supports[colour]
-                assert len(support) >= 2
-                if colour in rp.low_small:
-                    assert len(support) == 4
-                elif colour in rp.low_large:
-                    assert len(support) >= 6
+            for cp in rp.colours.values():
+                assert len(cp.support) >= 2
+                if cp.kind == "low_small":
+                    assert len(cp.support) == 4
+                elif cp.kind == "low_large":
+                    assert len(cp.support) >= 6
             mcl = matched_colour_map(dec.colouring, dec.matching)
             for rec in rp.records:
                 assert mcl[rec.u] == mcl[rec.v] == rec.colour

@@ -293,8 +293,10 @@ def test_cascade_leaf_count_identity_on_witnesses():
         for c in dec.non_matching_colours:
             class_vertices |= dec.colouring.colour_class(c).vertices()
         for t in seq.trees():
-            for w in t.internal_vertices():
-                assert w not in class_vertices
+            leaves = set(t.leaves())
+            for w in t.postorder[:-1]:
+                if w not in leaves:
+                    assert w not in class_vertices
 
 
 def test_cascade_unanchored_component_is_reported():
@@ -323,7 +325,7 @@ def test_sequence_order_matches_closure_on_lower_bound_instance():
     seq = build_cascading_sequence(dec)
     assert len(seq.forests) == 10
     assert len(seq.trees()) == len(seq.tree_pairs) == 35
-    assert len(seq.vertices()) == 42
+    assert len({v for t in seq.trees() for v in t.postorder}) == 42
     # All 72^2 vertex pairs, the 42^2 pairs of tree vertices among them.
     assert check_order_against_closure(seq) == 72 * 72
 
@@ -361,16 +363,14 @@ def test_collected_pairs_on_lower_bound_instance():
     seq = build_cascading_sequence(dec)
     rp = collect_repetition_pairs(dec, seq)
     assert len(rp.records) == 35
-    assert rp.total_repetition == 14
-    assert len(rp.paired_colours) == 7
-    assert rp.high == frozenset()
-    assert len(rp.low_large) == 7
-    assert rp.low_small == frozenset()
-    for colour in rp.paired_colours:
-        support = rp.supports[colour]
-        assert len(support) >= 4
-        mates = {dec.matching.mate[v] for v in support}
-        assert mates == set(support)  # supports are closed under mates
+    assert sum(cp.repetition for cp in rp.colours.values()) == 14
+    assert len(rp.colours) == 7
+    assert [cp.kind for cp in rp.colours.values()] == ["low_large"] * 7
+    for colour, cp in rp.colours.items():
+        assert all(r.colour == colour for r in cp.records)
+        assert len(cp.support) >= 4
+        mates = {dec.matching.mate[v] for v in cp.support}
+        assert mates == set(cp.support)  # supports are closed under mates
 
 
 def test_interior_clashes_count_each_record_pair_once():
@@ -438,6 +438,34 @@ def test_bound_report_json_is_deterministic():
         "rhs": "185/3",
         "passed": True,
     }
+
+
+# SHA-256 of every report below.  A change to how the analysis stores or
+# walks its structures must leave each report byte-identical.
+ANALYSIS_DIGEST = "81381a7434e1a1e1fad895f55df63b6439a36a5102c92b392849f20afe3597f5"
+
+
+def test_bound_reports_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    high_and_delta = 0
+    for gen, sizes in (
+        (random_with_perfect_matching, (6, 8, 10)),
+        (random_triangle_free_with_pm, (8, 10, 12)),
+    ):
+        for n in sizes:
+            for seed in range(20):
+                inst = gen(n, 0.3, seed)
+                doc = analyse(
+                    inst.graph, inst.matching, optimal_colouring(inst.graph).witness
+                ).to_json_dict()
+                high_and_delta += doc["high_colours"] > 0 and doc["delta"] > 0
+                digest.update(f"{gen.__name__} {n} {seed}: {json.dumps(doc)}\n".encode())
+    fig5 = fig5_lower_bound()
+    doc = analyse(fig5.graph, fig5.matching, fig5.certified_colouring).to_json_dict()
+    digest.update(f"fig5: {json.dumps(doc)}\n".encode())
+    # The corpus must reach the high-colour branch and its matched pairs.
+    assert high_and_delta > 0
+    assert digest.hexdigest() == ANALYSIS_DIGEST
 
 
 def test_bound_report_without_triangle_refinements():

@@ -165,6 +165,24 @@ def test_analyze_structural_failure(capsys, tmp_path):
     assert "perfect" in capsys.readouterr().err
 
 
+def test_analyze_structural_error_on_edgeless_graph(tmp_path):
+    # No edges means no matching edge and |M| + h = 0, so there is no
+    # ratio to certify; the decomposition refuses before the bound chain.
+    paths = [tmp_path / "empty.graph", tmp_path / "empty.matching", tmp_path / "empty.colouring"]
+    for path, text in zip(paths, ["0 0\n", "", ""]):
+        path.write_text(text)
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "qcolour.cli", "analyze", *map(str, paths)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert run.returncode == EXIT_STRUCTURAL
+    assert run.stdout == ""
+    assert run.stderr == "error: graph has no edges to colour\n"
+
+
 def test_analyze_detects_a_triangle_and_takes_no_option(capsys, tmp_path):
     inst = random_with_perfect_matching(6, 0.5, 6)
     res = optimal_colouring(inst.graph)
