@@ -84,19 +84,24 @@ class RootedTree:
         )
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
-        """Vertices of the unique u-v path in the tree, endpoints included."""
-        anc_u = [u]
-        x = u
-        while x != self.root:
-            x = self.parent[x]
-            anc_u.append(x)
-        pos = {x: i for i, x in enumerate(anc_u)}
-        down = [v]
-        x = v
-        while x not in pos:
-            x = self.parent[x]
-            down.append(x)
-        return tuple(anc_u[: pos[x]]) + tuple(reversed(down))
+        """Vertices of the unique u-v path in the tree, endpoints included.
+
+        Climbs whichever end has the smaller postorder index until the two
+        meet: that end cannot be an ancestor of the other, whose ancestors
+        all have larger indices, so the cost is the length of the path.
+        """
+        index, parent = self.index, self.parent
+        up, down = [u], [v]
+        x, y = u, v
+        while x != y:
+            if index[x] < index[y]:
+                x = parent[x]
+                up.append(x)
+            else:
+                y = parent[y]
+                down.append(y)
+        # Both lists end at the meeting vertex.
+        return tuple(up) + tuple(reversed(down[:-1]))
 
     def preceq(self, x: int, y: int) -> bool:
         """Per-tree order: larger postorder index is closer to the root."""

@@ -19,6 +19,7 @@ strings like ``"58/37"``.  Exit codes: 0 success / all checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -56,9 +57,18 @@ class _UsageError(Exception):
     """Raised instead of argparse's default sys.exit so main() owns codes."""
 
 
+class _HelpShown(Exception):
+    """Raised instead of argparse's sys.exit(0) once ``--help`` has printed."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
+        if status:
+            raise _UsageError(message or f"exit status {status}")
+        raise _HelpShown
 
 
 def _read_text(path: str) -> str:
@@ -205,7 +215,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_FAILED if failures else EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and in-process callers of main() need not rebuild it."""
     parser = _Parser(prog="qcolour", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -258,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _HelpShown:
+        return EXIT_OK
     try:
         return args.func(args)
     except _UsageError as exc:

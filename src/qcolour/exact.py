@@ -74,6 +74,13 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     cannot strictly improve are cut, so a complete search returns the same
     optimum and witness as the unpruned enumeration order.
 
+    Each child's bound takes a few integer operations: ``used + k`` and
+    ``used + S // 2`` are tested against the incumbent separately, and the
+    child's ``S`` follows from its parent's.  An endpoint loses one slot to a
+    colour new to it, and to a colour it has seen exactly when its free slots
+    equal its unassigned degree, read off a per-edge table fixed by the edge
+    order.
+
     ``budget`` caps the node count; exceeding it returns ``complete=False``
     with the incumbent, or for ``q >= 2`` the matching-based approximation if
     that has more colours.  Refuses graphs with more than
@@ -123,31 +130,34 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
             best_count = used
             best_assign[:] = assign
             return
+        # Children reach at most ``reach`` colours, the fresh one one more.
+        # The bound that admitted this node left ``reach >= best_count`` (the
+        # root of a one-edge graph has S = 2), so only S can cut the fresh one.
+        reach = used + m - eid - 1
         u, v = edges[eid]
         pal_u = palette[u]
         pal_v = palette[v]
         room_u = q - len(pal_u)
         room_v = q - len(pal_v)
-        au = after_u[eid]
-        av = after_v[eid]
-        left = m - eid - 1
-        others = slots - min(room_u, au + 1) - min(room_v, av + 1)
-        if room_u and room_v:
-            child = others + min(room_u - 1, au) + min(room_v - 1, av)
-            if used + 1 + min(left, child >> 1) > best_count:
-                if nodes >= limit:
-                    out_of_budget = True
-                    return
-                nodes += 1
-                assign[eid] = used
-                pal_u[used] = 1
-                pal_v[used] = 1
-                dfs(eid + 1, used + 1, child)
-                del pal_u[used]
-                del pal_v[used]
+        if room_u and room_v and used + (slots >> 1) > best_count:
+            if nodes >= limit:
+                out_of_budget = True
+                return
+            nodes += 1
+            assign[eid] = used
+            pal_u[used] = 1
+            pal_v[used] = 1
+            dfs(eid + 1, used + 1, slots - 2)
+            del pal_u[used]
+            del pal_v[used]
+        if reach <= best_count:
+            return
+        # Whether an endpoint keeps its slots under a colour it has seen.
+        keep_u = room_u <= after_u[eid]
+        keep_v = room_v <= after_v[eid]
+        base = slots - 2
         # A reused colour that both endpoints have seen keeps the most slots.
-        most = others + min(room_u, au) + min(room_v, av)
-        if used + min(left, most >> 1) <= best_count:
+        if used + ((base + keep_u + keep_v) >> 1) <= best_count:
             return
         # A full palette admits only its own colours; iterate those directly,
         # still in increasing order.
@@ -158,20 +168,20 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
         elif room_v:
             reusable = sorted(pal_u)
         else:
-            reusable = sorted(c for c in pal_u if c in pal_v)
+            reusable = sorted(pal_u.keys() & pal_v.keys())
         for c in reusable:
             seen_u = c in pal_u
             seen_v = c in pal_v
-            child = others + min(room_u - (not seen_u), au) + min(room_v - (not seen_v), av)
-            if used + min(left, child >> 1) <= best_count:
+            child = base + (seen_u and keep_u) + (seen_v and keep_v)
+            if used + (child >> 1) <= best_count:
                 continue
             if nodes >= limit:
                 out_of_budget = True
                 return
             nodes += 1
             assign[eid] = c
-            pal_u[c] = pal_u.get(c, 0) + 1
-            pal_v[c] = pal_v.get(c, 0) + 1
+            pal_u[c] = pal_u[c] + 1 if seen_u else 1
+            pal_v[c] = pal_v[c] + 1 if seen_v else 1
             dfs(eid + 1, used, child)
             if seen_u:
                 pal_u[c] -= 1
@@ -181,6 +191,9 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
                 pal_v[c] -= 1
             else:
                 del pal_v[c]
+            # The child may have raised the incumbent past ``reach``.
+            if reach <= best_count:
+                return
 
     dfs(0, 0, root_slots)
     witness = EdgeColouring(g, tuple(best_assign))

@@ -231,6 +231,24 @@ def random_pair_tree(
     return tree, col, m
 
 
+def root_climb_path(tree: RootedTree, u: int, v: int) -> tuple[int, ...]:
+    """The u-v path of ``tree`` by listing every ancestor of ``u`` up to the
+    root, then climbing from ``v`` to the first of them.  Costs the depth of
+    ``u``; only a reference for :meth:`RootedTree.path`."""
+    anc_u = [u]
+    x = u
+    while x != tree.root:
+        x = tree.parent[x]
+        anc_u.append(x)
+    pos = {x: i for i, x in enumerate(anc_u)}
+    down = [v]
+    x = v
+    while x not in pos:
+        x = tree.parent[x]
+        down.append(x)
+    return tuple(anc_u[: pos[x]]) + tuple(reversed(down))
+
+
 def check_pair_properties(
     tree_ordered: RootedTree,
     pairs: tuple[tuple[int, int], ...],

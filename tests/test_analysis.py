@@ -38,7 +38,12 @@ from qcolour.instances import (
     random_triangle_free_with_pm,
     random_with_perfect_matching,
 )
-from helpers import check_order_against_closure, check_pair_properties, random_pair_tree
+from helpers import (
+    check_order_against_closure,
+    check_pair_properties,
+    random_pair_tree,
+    root_climb_path,
+)
 
 
 # ---------------------------------------------------------------- decompose
@@ -246,6 +251,25 @@ def test_pairs_on_random_trees_satisfy_all_properties():
         check_pair_properties(ordered, pairs, col, m)
         total += len(pairs)
     assert total > 400  # the generator must actually exercise the machinery
+
+
+def _assert_paths_match_root_climb(tree):
+    for u in tree.postorder:
+        for v in tree.postorder:
+            assert tree.path(u, v) == root_climb_path(tree, u, v), (u, v)
+
+
+def test_tree_paths_match_the_root_climb():
+    rng = random.Random(2718)
+    for shape, size in [("tree", None)] * 60 + [("path", None)] * 20 + [("tree", 60), ("path", 60)]:
+        tree, col, m = random_pair_tree(rng, shape, size)
+        _assert_paths_match_root_climb(tree)
+        # The pairing reorders children, which renumbers the postorder.
+        _assert_paths_match_root_climb(tree_repetition_pairs(tree, col, m)[1])
+    inst = fig5_lower_bound()
+    dec = decompose(inst.graph, inst.matching, inst.certified_colouring)
+    for tree in build_cascading_sequence(dec).trees():
+        _assert_paths_match_root_climb(tree)
 
 
 # SHA-256 of (sorted pairs, ordered postorder) over the fixtures below,

@@ -16,6 +16,7 @@ from qcolour.cli import (
     EXIT_OK,
     EXIT_STRUCTURAL,
     EXIT_USAGE,
+    _build_parser,
     main,
 )
 from qcolour.exact import EXACT_EDGE_LIMIT
@@ -281,6 +282,41 @@ def test_sweep_rejects_negative_budget_before_any_work(capsys, monkeypatch):
 def test_unknown_subcommand_is_usage_error():
     assert main(["bogus"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["exact", "-h"]])
+def test_help_returns_ok_from_main(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qcolour")
+    assert captured.err == ""
+
+
+def test_main_reuses_its_parser_without_leaking_state(capsys, square):
+    calls = [
+        ["exact", str(square), "--q", "1"],
+        ["exact", str(square)],
+        ["sweep", "--family", "tf", "--seed", "9", "--count", "1"],
+        ["exact", str(square), "--budget", "many"],
+        ["sweep", "--count", "1"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        first.append(run(argv))
+    _build_parser.cache_clear()
+    in_sequence = [run(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    assert in_sequence == first
+    assert [code for code, _, _ in first] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert json.loads(first[0][1])["opt"] == 1 and json.loads(first[1][1])["opt"] == 4
+    assert json.loads(first[2][1])["family"] == "tf" and json.loads(first[4][1])["family"] == "pm"
 
 
 def test_console_script_is_installed():

@@ -19,6 +19,7 @@ from qcolour import (
 )
 from qcolour.exact import EXACT_EDGE_LIMIT, result_to_json
 from qcolour.instances import (
+    fig5_lower_bound,
     named,
     random_triangle_free_with_pm,
     random_with_perfect_matching,
@@ -29,6 +30,9 @@ from helpers import random_graph
 # search as it was before the slot bound was added: pruning may only
 # cut subtrees that cannot beat the incumbent, so both must stay identical.
 PINNED_EXACT_DIGEST = "7269ab1cdd24492b0d4952c755f4198f6cbb6937c72a771c23c9a7a64443caec"
+# SHA-256 over (opt, nodes_explored, witness) of the same fixtures plus the
+# budgeted runs below: a cheaper node must still be the same node.
+PINNED_NODE_DIGEST = "798aec72c496f03dd3259bf013fb6606954738d1b015d8a53906b04508122921"
 
 
 @pytest.mark.parametrize(
@@ -136,6 +140,28 @@ def test_optimum_and_witness_match_pinned_digest():
         assert res.complete
         digest.update(f"{label}: {res.opt} {list(res.witness.colour)}\n".encode())
     assert digest.hexdigest() == PINNED_EXACT_DIGEST
+
+
+def _budgeted_fixtures():
+    fig5 = fig5_lower_bound().graph
+    for budget in (5000, 20000):
+        yield f"fig5 budget={budget}", fig5, 2, budget
+    yield "complete_7 q=3 budget=200", named("complete_7"), 3, 200
+
+
+def test_node_counts_match_pinned_digest():
+    # The witness digest above cannot see a search that visits extra nodes
+    # on its way to the same witness; this one pins every node count too,
+    # including runs that stop mid-search on their budget.
+    digest = hashlib.sha256()
+    runs = [(label, g, q, None) for label, g, q in _pinned_fixtures()]
+    for label, g, q, budget in runs + list(_budgeted_fixtures()):
+        res = optimal_colouring(g, q, budget)
+        assert res.complete == (budget is None)
+        digest.update(
+            f"{label}: {res.opt} {res.nodes_explored} {list(res.witness.colour)}\n".encode()
+        )
+    assert digest.hexdigest() == PINNED_NODE_DIGEST
 
 
 @pytest.mark.parametrize("k", [2, 3, 50, 400])
