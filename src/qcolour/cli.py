@@ -13,7 +13,7 @@ Machine output is JSON with a fixed key order, so identical invocations
 produce byte-identical documents; rational numbers are serialized as
 strings like ``"58/37"``.  Exit codes: 0 success / all checks passed,
 1 usage or I/O or parse failure, 2 structural precondition failure,
-3 validity or bound failure, 4 search budget exhausted.
+3 validity or bound failure, 4 exact search budget exhausted.
 """
 
 from __future__ import annotations

@@ -54,14 +54,38 @@ def result_to_json(res: ExactResult) -> str:
     return json.dumps(res.to_json_dict(), indent=2) + "\n"
 
 
+def bfs_edge_order(g: Graph) -> list[int]:
+    """Edge ids in breadth-first order: a search from vertex 0, restarted at
+    the smallest unvisited vertex until every vertex is visited, lists each
+    edge the first time a dequeued vertex's adjacency reaches it."""
+    listed = [False] * g.m
+    visited = [False] * g.n
+    order: list[int] = []
+    for start in range(g.n):
+        if visited[start]:
+            continue
+        visited[start] = True
+        queue = [start]
+        for v in queue:
+            for w, eid in g.adjacency[v]:
+                if not listed[eid]:
+                    listed[eid] = True
+                    order.append(eid)
+                if not visited[w]:
+                    visited[w] = True
+                    queue.append(w)
+    return order
+
+
 def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactResult:
     """Maximum number of colours in a valid-for-q edge colouring.
 
-    Depth-first branch and bound over edges in id order.  At each edge the
-    candidates are one fresh colour (tried first, so deep palettes are found
-    early) plus every already-used colour that keeps both endpoints within
-    budget; assigning fresh colours in first-appearance order means each
-    colour partition is enumerated exactly once, in canonical form.
+    Depth-first branch and bound over edges in ``bfs_edge_order``, which
+    closes vertices, and with them their free slots (below), early.  At each
+    edge the candidates are one fresh colour (tried first, so deep palettes
+    are found early) plus every already-used colour that keeps both
+    endpoints within budget; assigning fresh colours in first-appearance
+    order means each colour partition is enumerated exactly once.
 
     Slot bound: a vertex v with unassigned edges has
     ``free(v) = min(q - |palette(v)|, unassigned degree of v)`` slots for
@@ -72,7 +96,9 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     child whose bound cannot beat the incumbent is cut before it counts, so a
     node is a candidate assignment that passed the bound.  Only subtrees that
     cannot strictly improve are cut, so a complete search returns the same
-    optimum and witness as the unpruned enumeration order.
+    optimum and witness as the unpruned enumeration in the same edge order.
+    The witness is mapped back to edge ids and relabelled into canonical
+    form.
 
     Each child's bound takes a few integer operations: ``used + k`` and
     ``used + S // 2`` are tested against the incumbent separately, and the
@@ -98,16 +124,18 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     if m == 0:
         return ExactResult(0, EdgeColouring(g, ()), 0, True)
 
-    edges = g.edges
-    # after_u[eid], after_v[eid]: unassigned degree of each endpoint once
-    # edge eid is assigned.  The edge order is fixed, so these are static.
+    order = bfs_edge_order(g)
+    edges = [g.edges[eid] for eid in order]
+    # after_u[i], after_v[i]: unassigned degree of each endpoint once the
+    # i-th edge of the order is assigned.  The order is fixed, so these are
+    # static.
     after_u = [0] * m
     after_v = [0] * m
     degree = [0] * g.n
-    for eid in range(m - 1, -1, -1):
-        u, v = edges[eid]
-        after_u[eid] = degree[u]
-        after_v[eid] = degree[v]
+    for i in range(m - 1, -1, -1):
+        u, v = edges[i]
+        after_u[i] = degree[u]
+        after_v[i] = degree[v]
         degree[u] += 1
         degree[v] += 1
     root_slots = sum(min(q, d) for d in degree)
@@ -122,10 +150,10 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     nodes = 0
     out_of_budget = False
 
-    def dfs(eid: int, used: int, slots: int) -> None:
-        # ``slots`` is S before edge ``eid`` is assigned.
+    def dfs(i: int, used: int, slots: int) -> None:
+        # ``slots`` is S before the i-th edge of the order is assigned.
         nonlocal best_count, nodes, out_of_budget
-        if eid == m:
+        if i == m:
             # Only a child that beats the incumbent reaches a leaf.
             best_count = used
             best_assign[:] = assign
@@ -133,8 +161,8 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
         # Children reach at most ``reach`` colours, the fresh one one more.
         # The bound that admitted this node left ``reach >= best_count`` (the
         # root of a one-edge graph has S = 2), so only S can cut the fresh one.
-        reach = used + m - eid - 1
-        u, v = edges[eid]
+        reach = used + m - i - 1
+        u, v = edges[i]
         pal_u = palette[u]
         pal_v = palette[v]
         room_u = q - len(pal_u)
@@ -144,17 +172,17 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
                 out_of_budget = True
                 return
             nodes += 1
-            assign[eid] = used
+            assign[i] = used
             pal_u[used] = 1
             pal_v[used] = 1
-            dfs(eid + 1, used + 1, slots - 2)
+            dfs(i + 1, used + 1, slots - 2)
             del pal_u[used]
             del pal_v[used]
         if reach <= best_count:
             return
         # Whether an endpoint keeps its slots under a colour it has seen.
-        keep_u = room_u <= after_u[eid]
-        keep_v = room_v <= after_v[eid]
+        keep_u = room_u <= after_u[i]
+        keep_v = room_v <= after_v[i]
         base = slots - 2
         # A reused colour that both endpoints have seen keeps the most slots.
         if used + ((base + keep_u + keep_v) >> 1) <= best_count:
@@ -179,10 +207,10 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
                 out_of_budget = True
                 return
             nodes += 1
-            assign[eid] = c
+            assign[i] = c
             pal_u[c] = pal_u[c] + 1 if seen_u else 1
             pal_v[c] = pal_v[c] + 1 if seen_v else 1
-            dfs(eid + 1, used, child)
+            dfs(i + 1, used, child)
             if seen_u:
                 pal_u[c] -= 1
             else:
@@ -196,7 +224,10 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
                 return
 
     dfs(0, 0, root_slots)
-    witness = EdgeColouring(g, tuple(best_assign))
+    by_id = [0] * m
+    for i, eid in enumerate(order):
+        by_id[eid] = best_assign[i]
+    witness = EdgeColouring.from_values(g, by_id)
     if out_of_budget and q >= 2:
         approx = matching_based_colouring(g)[0]
         if approx.num_colours > best_count:

@@ -88,6 +88,21 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def relabelled_union(parts: list[Graph], isolated: int, rng: random.Random) -> Graph:
+    """The disjoint union of ``parts`` plus ``isolated`` extra vertices, with
+    vertex labels and edge order shuffled, so components interleave by id."""
+    n = sum(p.n for p in parts) + isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    offset = 0
+    for p in parts:
+        edges.extend((label[offset + u], label[offset + v]) for u, v in p.edges)
+        offset += p.n
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
 def sparse_planted_pm_graph(n: int, avg_degree: float, rng: random.Random) -> Graph:
     """A sparse random graph on ``n`` vertices (even) with a perfect matching.
 

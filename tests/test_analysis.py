@@ -466,7 +466,7 @@ def test_bound_report_json_is_deterministic():
 
 # SHA-256 of every report below.  A change to how the analysis stores or
 # walks its structures must leave each report byte-identical.
-ANALYSIS_DIGEST = "81381a7434e1a1e1fad895f55df63b6439a36a5102c92b392849f20afe3597f5"
+ANALYSIS_DIGEST = "99fb766ec51a3423ab20819fcef32775feec03f2cdda88080b1bc9f7b7baabeb"
 
 
 def test_bound_reports_match_the_pinned_digest():

@@ -17,22 +17,23 @@ from qcolour import (
     oracle_optimal,
     validate,
 )
-from qcolour.exact import EXACT_EDGE_LIMIT, result_to_json
+from qcolour.exact import EXACT_EDGE_LIMIT, bfs_edge_order, result_to_json
 from qcolour.instances import (
     fig5_lower_bound,
     named,
     random_triangle_free_with_pm,
     random_with_perfect_matching,
 )
-from helpers import random_graph
+from helpers import bfs_components, random_graph, relabelled_union
 
-# SHA-256 over (opt, witness) of every fixture below, computed with the
-# search as it was before the slot bound was added: pruning may only
-# cut subtrees that cannot beat the incumbent, so both must stay identical.
-PINNED_EXACT_DIGEST = "7269ab1cdd24492b0d4952c755f4198f6cbb6937c72a771c23c9a7a64443caec"
+# SHA-256 over (opt, witness) of every fixture below.  It equals the digest
+# of the search without the slot bound, run over the same breadth-first
+# edge order: pruning may only cut subtrees that cannot beat the
+# incumbent, so both must stay identical.
+PINNED_EXACT_DIGEST = "a67eda8a3f0319fc2e2d8668dc58d5fed468291f84c376923bd7205245055698"
 # SHA-256 over (opt, nodes_explored, witness) of the same fixtures plus the
 # budgeted runs below: a cheaper node must still be the same node.
-PINNED_NODE_DIGEST = "798aec72c496f03dd3259bf013fb6606954738d1b015d8a53906b04508122921"
+PINNED_NODE_DIGEST = "20d664937e7bcca93acf24ac95ca77ba5f57dad2ede67d6f68848327aeb137c0"
 
 
 @pytest.mark.parametrize(
@@ -164,6 +165,16 @@ def test_node_counts_match_pinned_digest():
     assert digest.hexdigest() == PINNED_NODE_DIGEST
 
 
+def test_fig5_search_beats_the_approximation_within_budget():
+    # The budget stops the search long before it is complete, yet its own
+    # incumbent beats the approximation's 37 colours, so that is the witness.
+    g = fig5_lower_bound().graph
+    res = optimal_colouring(g, budget=20000)
+    assert not res.complete
+    assert res.opt >= 38 > matching_based_colouring(g)[0].num_colours
+    assert validate(g, res.witness, 2).valid
+
+
 @pytest.mark.parametrize("k", [2, 3, 50, 400])
 def test_path_takes_one_node_per_edge(k):
     # The first dive gives every edge a fresh colour, which meets the bound
@@ -192,16 +203,48 @@ def test_result_json_is_stable():
     assert result_to_json(res) == result_to_json(optimal_colouring(named("path_3")))
 
 
+def test_bfs_edge_order_restarts_at_smallest_unvisited_vertex():
+    # Vertex 0 is isolated, so the search starts at 1 and lists its edges in
+    # adjacency order, then 4's and 3's; it restarts at 2 for the last one.
+    g = Graph(7, ((2, 5), (3, 6), (1, 4), (1, 3), (4, 6)))
+    assert bfs_edge_order(g) == [2, 3, 4, 1, 0]
+
+
+def _oracle_sized_graphs(rng: random.Random):
+    """Sixty random graphs, then sixty disjoint unions of two or three with
+    up to two isolated vertices, labels shuffled so that components
+    interleave by id: there the breadth-first edge order restarts."""
+    for union in (False, True):
+        checked = 0
+        while checked < 60:
+            if union:
+                parts = [
+                    random_graph(rng.randint(2, 4), rng.uniform(0.3, 0.9), rng)
+                    for _ in range(rng.randint(2, 3))
+                ]
+                g = relabelled_union(parts, rng.randint(0, 2), rng)
+            else:
+                g = random_graph(rng.randint(1, 7), rng.uniform(0.2, 0.9), rng)
+            if g.m > 10:
+                continue
+            checked += 1
+            yield g
+
+
 def test_solver_matches_oracle_on_random_graphs():
-    rng = random.Random(1234)
-    checked = 0
-    while checked < 60:
-        g = random_graph(rng.randint(1, 7), rng.uniform(0.2, 0.9), rng)
-        if g.m > 10:
-            continue
-        checked += 1
+    restarts = 0
+    for g in _oracle_sized_graphs(random.Random(1234)):
+        restarts += len(bfs_components(g)) > 1
         for q in (1, 2, 3):
-            assert optimal_colouring(g, q).opt == oracle_optimal(g, q)
+            opt = oracle_optimal(g, q)
+            res = optimal_colouring(g, q)
+            assert res.complete and res.opt == opt
+            assert res.witness.num_colours == opt
+            assert validate(g, res.witness, q).valid
+            # Canonical in edge-id order, whatever order the search took.
+            first_seen = list(dict.fromkeys(res.witness.colour))
+            assert first_seen == list(range(opt))
+    assert restarts >= 60
 
 
 def test_oracle_refuses_oversized_input():
