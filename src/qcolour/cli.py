@@ -32,7 +32,7 @@ from .colouring import (
     serialize_colouring,
     validate,
 )
-from .exact import optimal_colouring, result_to_json
+from .exact import optimal_colouring
 from .graph import Graph, parse_graph
 from .instances import random_triangle_free_with_pm, random_with_perfect_matching
 from .matching import parse_matching
@@ -110,7 +110,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         raise _UsageError("--budget must be nonnegative")
     g = _load_graph(args.graph)
     res = optimal_colouring(g, args.q, args.budget)
-    _emit(result_to_json(res), args.out)
+    _emit(_json(res.to_json_dict()), args.out)
     return EXIT_OK if res.complete else EXIT_INCOMPLETE
 
 

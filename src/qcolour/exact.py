@@ -9,7 +9,6 @@ enumeration oracles are provided.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 
@@ -48,10 +47,6 @@ class ExactResult:
             "nodes_explored": self.nodes_explored,
             "witness": list(self.witness.colour),
         }
-
-
-def result_to_json(res: ExactResult) -> str:
-    return json.dumps(res.to_json_dict(), indent=2) + "\n"
 
 
 def bfs_edge_order(g: Graph) -> list[int]:

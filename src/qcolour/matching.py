@@ -56,28 +56,21 @@ class Matching:
         return None if mate is None else self.graph.edge_id(v, mate)
 
 
-def maximum_matching(g: Graph) -> Matching:
-    """Maximum-cardinality matching via alternating-tree search with blossom
-    contraction (Edmonds 1965).
+def _searcher(g: Graph, match: list[int]):
+    """Edmonds' alternating-tree search with blossom contraction over the
+    mate array ``match`` (``-1`` marks an exposed vertex), read as it stands
+    at each call and never written.  ``search(root)`` returns the exposed
+    vertex ending an augmenting path from ``root``, read back through ``p``
+    and ``match``, or ``-1`` when there is none.
 
-    Fully deterministic: the matching is seeded greedily in edge-id order,
-    exposed vertices are processed in id order, neighbours are scanned in
-    adjacency (edge-insertion) order, and the vertices a contraction newly
-    reaches are enqueued in ascending id order.
-
-    The search state is allocated once.  Each search resets only the
-    vertices the previous one touched, and a contraction relabels only the
-    vertices under the blossom's own bases, so a search costs the vertices
-    and edges it reaches, not O(n).
+    The state is allocated once.  Each search resets only the vertices the
+    previous one touched, and a contraction relabels only the vertices
+    under the blossom's own bases, so a search costs what it reaches, not
+    O(n).  Neighbours are scanned in adjacency order, and the vertices a
+    contraction newly reaches are enqueued in ascending id order.
     """
     n = g.n
     adj = g.adjacency
-    match: list[int] = [-1] * n
-    for u, v in g.edges:
-        if match[u] == -1 and match[v] == -1:
-            match[u] = v
-            match[v] = u
-
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -108,7 +101,7 @@ def maximum_matching(g: Graph) -> Matching:
             child = match[v]
             v = p[match[v]]
 
-    def find_augmenting_path(root: int) -> int:
+    def search(root: int) -> int:
         for w in touched:
             p[w] = -1
             base[w] = w
@@ -149,9 +142,28 @@ def maximum_matching(g: Graph) -> Matching:
                     q.append(match[to])
         return -1
 
+    return search, p
+
+
+def maximum_matching(g: Graph) -> Matching:
+    """Maximum-cardinality matching via alternating-tree search with blossom
+    contraction (Edmonds 1965).
+
+    Fully deterministic: the matching is seeded greedily in edge-id order,
+    and ``_searcher``'s search augments from the exposed vertices in id
+    order.
+    """
+    n = g.n
+    match: list[int] = [-1] * n
+    for u, v in g.edges:
+        if match[u] == -1 and match[v] == -1:
+            match[u] = v
+            match[v] = u
+
+    search, p = _searcher(g, match)
     for v in range(n):
         if match[v] == -1:
-            end = find_augmenting_path(v)
+            end = search(v)
             while end != -1:
                 pv = p[end]
                 nxt = match[pv]
@@ -164,36 +176,15 @@ def maximum_matching(g: Graph) -> Matching:
 
 
 def is_maximum(g: Graph, m: Matching) -> bool:
-    """Independent maximality check: exhaustively searches for an augmenting
-    path (a simple alternating path between two exposed vertices), trying
-    every continuation with backtracking.  Exponential in the worst case;
-    meant for desk-scale validation, with an early exit when no vertex is
-    exposed."""
+    """Berge's test (1957): ``m`` is maximum exactly when no exposed vertex
+    starts an augmenting path.  Runs the same blossom search as
+    ``maximum_matching`` once from each exposed vertex, without augmenting,
+    so it costs what that search costs on ``m``."""
     if m.graph != g:
         raise ValueError("matching belongs to a different graph")
-    exposed = [v for v in range(g.n) if m.mate[v] is None]
-    if not exposed:
-        return True
-    in_m = m.edges.members
-
-    def extend(v: int, used: frozenset[int]) -> bool:
-        # v was reached on a matched edge (or is the start); leave on unmatched.
-        for w, eid in g.adjacency[v]:
-            if eid in in_m or w in used:
-                continue
-            if m.mate[w] is None:
-                return True
-            x = m.mate[w]
-            if x in used:
-                continue
-            if extend(x, used | {w, x}):
-                return True
-        return False
-
-    for start in exposed:
-        if extend(start, frozenset([start])):
-            return False
-    return True
+    match = [-1 if w is None else w for w in m.mate]
+    search, _ = _searcher(g, match)
+    return all(search(v) == -1 for v in range(g.n) if match[v] == -1)
 
 
 def is_perfect(g: Graph, m: Matching) -> bool:

@@ -15,9 +15,11 @@ from qcolour import (
     matching_based_colouring,
     optimal_colouring,
     oracle_optimal,
+    serialize_graph,
     validate,
 )
-from qcolour.exact import EXACT_EDGE_LIMIT, bfs_edge_order, result_to_json
+from qcolour.cli import EXIT_OK, main
+from qcolour.exact import EXACT_EDGE_LIMIT, bfs_edge_order
 from qcolour.instances import (
     fig5_lower_bound,
     named,
@@ -191,16 +193,20 @@ def test_slot_bound_keeps_named_graphs_under_a_thousand_nodes(name, opt):
     assert res.nodes_explored < 1000
 
 
-def test_result_json_is_stable():
+def test_result_json_is_stable(capsys, tmp_path):
     res = optimal_colouring(named("path_3"))
-    doc = json.loads(result_to_json(res))
-    assert doc == {
+    doc = {
         "opt": 2,
         "complete": True,
         "nodes_explored": res.nodes_explored,
         "witness": list(res.witness.colour),
     }
-    assert result_to_json(res) == result_to_json(optimal_colouring(named("path_3")))
+    assert res.to_json_dict() == doc
+    path = tmp_path / "path_3.graph"
+    path.write_text(serialize_graph(named("path_3")))
+    for _ in range(2):
+        assert main(["exact", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_bfs_edge_order_restarts_at_smallest_unvisited_vertex():

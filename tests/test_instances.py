@@ -143,6 +143,16 @@ def test_certified_instance_rejects_non_maximum_matching():
             seed=0,
         )
 
+    # A maximum matching need not be perfect: cycle_5 leaves one vertex
+    # exposed, and a single edge of it is not maximum.
+    g = named("cycle_5")
+    col, m, _h = matching_based_colouring(g)
+    assert not is_perfect(g, m)
+    odd = CertifiedInstance(g, m, col, None, "test", 0)
+    assert odd.h == 2
+    with pytest.raises(ValueError, match="not maximum"):
+        CertifiedInstance(g, Matching.from_edge_ids(g, {0}), col, None, "test", 0)
+
 
 def test_named_families():
     assert (named("path_1").n, named("path_1").m) == (1, 0)

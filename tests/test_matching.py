@@ -62,16 +62,16 @@ def test_maximum_on_petersen():
     assert m.size == 5
 
 
+_TWO_TRIANGLES_BRIDGED = (
+    (0, 1), (1, 2), (0, 2),  # left triangle
+    (5, 6), (6, 7), (5, 7),  # right triangle
+    (2, 3), (3, 4), (4, 5),  # bridge
+)
+
+
 def test_blossom_case_two_triangles_joined_by_path():
     # Two triangles bridged by an even path: requires shrinking both blossoms.
-    g = Graph(
-        8,
-        (
-            (0, 1), (1, 2), (0, 2),  # left triangle
-            (5, 6), (6, 7), (5, 7),  # right triangle
-            (2, 3), (3, 4), (4, 5),  # bridge
-        ),
-    )
+    g = Graph(8, _TWO_TRIANGLES_BRIDGED)
     m = maximum_matching(g)
     assert m.size == brute_force_matching_size(g) == 4
     assert is_maximum(g, m)
@@ -141,10 +141,72 @@ def test_maximum_matching_size_agrees_with_networkx():
         assert m.size == len(nx.max_weight_matching(other, maxcardinality=True))
 
 
+def _greedy_matching(g: Graph, rng: random.Random) -> Matching:
+    """A maximal matching, greedy over the edges in a shuffled order."""
+    order = list(range(g.m))
+    rng.shuffle(order)
+    covered: set[int] = set()
+    ids = []
+    for eid in order:
+        u, v = g.edges[eid]
+        if u not in covered and v not in covered:
+            covered |= {u, v}
+            ids.append(eid)
+    return Matching.from_edge_ids(g, ids)
+
+
 def test_is_maximum_rejects_augmentable_matching():
-    g = named("path_4")  # 0-1-2-3; the middle edge alone is not maximum
-    m = Matching.from_edge_ids(g, {1})
-    assert not is_maximum(g, m)
+    rng = random.Random(1045)
+    outcomes = set()
+    for _ in range(400):
+        g = random_graph(rng.randint(0, 10), rng.uniform(0.1, 0.8), rng)
+        m = _greedy_matching(g, rng)
+        verdict = is_maximum(g, m)
+        assert verdict == (m.size == brute_force_matching_size(g))
+        outcomes.add(verdict)
+    assert outcomes == {True, False}
+
+
+_TWO_LONG_WAY_TRIANGLES = (
+    (0, 1), (1, 2), (2, 3), (2, 4), (3, 4), (3, 6),
+    (5, 6), (6, 7), (5, 7), (7, 8), (8, 9),
+)
+
+
+@pytest.mark.parametrize(
+    "edges, ids, maximum",
+    [
+        # path_4 0-1-2-3: the middle edge alone is not maximum.
+        (((0, 1), (1, 2), (2, 3)), {1}, False),
+        # Two triangles bridged by 2-3-4-5, with 3-4 in M and the other two
+        # bridge edges out: the search from 2 shrinks the left triangle
+        # before it reaches the augmenting path 2-3=4-5=6-7.
+        (_TWO_TRIANGLES_BRIDGED, {0, 3, 7}, False),
+        # The only augmenting path 0-1=2-4=3-6=5-7=8-9 crosses the triangles
+        # 2-3=4 and 7-6=5 the long way.  A search from either end labels
+        # the triangle's exit vertex (3 or 6) odd first, so only shrinking
+        # the triangle finds the path.
+        (_TWO_LONG_WAY_TRIANGLES, {1, 4, 6, 9}, False),
+        (_TWO_LONG_WAY_TRIANGLES, {0, 3, 5, 8, 10}, True),
+    ],
+)
+def test_is_maximum_on_blossom_cases(edges, ids, maximum):
+    g = Graph(max(max(e) for e in edges) + 1, edges)
+    m = Matching.from_edge_ids(g, ids)
+    assert (m.size == brute_force_matching_size(g)) == maximum
+    assert is_maximum(g, m) == maximum
+
+
+def test_is_maximum_on_an_imperfect_61_vertex_matching():
+    # One vertex stays exposed: trying every alternating path from it takes
+    # about 93 s on this graph; the blossom search takes well under 1 ms.
+    g = random_graph(61, 5 / 61, random.Random(6101))
+    m = maximum_matching(g)
+    assert not is_perfect(g, m)
+    assert is_maximum(g, m)
+    weaker = set(m.edges.members)
+    weaker.remove(min(weaker))
+    assert not is_maximum(g, Matching.from_edge_ids(g, weaker))
 
 
 def test_parse_and_serialize_round_trip():
