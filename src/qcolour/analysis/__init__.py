@@ -27,6 +27,7 @@ from ..graph import Graph
 from ..matching import Matching
 from .bounds import BoundEntry, BoundReport, verify_bound_chain
 from .decompose import (
+    AnalysisInvariantError,
     ColourDecomposition,
     DisconnectedColourClassError,
     ImperfectMatchingError,
@@ -41,6 +42,7 @@ from .pairs import ColourPairs, PairRecord, RepetitionPairs, collect_repetition_
 from .repetition import path_repetition, repetition_content, tree_repetition_pairs
 
 __all__ = [
+    "AnalysisInvariantError",
     "BoundEntry",
     "BoundReport",
     "ColourDecomposition",

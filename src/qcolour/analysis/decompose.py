@@ -38,6 +38,11 @@ class UnanchoredComponentError(StructuralError):
     colour, so there is nothing to anchor its cascade of forests to."""
 
 
+class AnalysisInvariantError(StructuralError):
+    """A lemma of the analysis fails on the structures the pipeline built
+    itself; the message names the lemma."""
+
+
 def matched_colour_map(col: EdgeColouring, m: Matching) -> tuple[int | None, ...]:
     """Per-vertex colour of the incident matching edge (``None`` if exposed)."""
     g = col.graph

@@ -16,63 +16,77 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..graph import Graph
-from .decompose import ColourDecomposition, UnanchoredComponentError
+from .decompose import (
+    AnalysisInvariantError,
+    ColourDecomposition,
+    UnanchoredComponentError,
+)
 
 
 @dataclass(frozen=True)
 class RootedTree:
     """A rooted tree on a subset of a graph's vertices.
 
-    ``postorder`` is derived from ``children`` and fixes the per-tree vertex
-    order: children precede parents and the root comes last, so larger index
-    means closer to the root.
+    ``children`` is the tree's shape: the ordered children of each vertex
+    (a vertex without an entry has none).  ``parent`` and ``parent_edge``
+    (the graph edge from a vertex to its parent) are derived from it, and
+    so is ``postorder``, the per-tree vertex order: children precede
+    parents and the root comes last, so larger index means closer to the
+    root.  Raises ``ValueError`` when ``children`` is not a tree on edges
+    of ``graph`` hanging from ``root``.
     """
 
     graph: Graph
     root: int
-    parent: dict[int, int]
-    parent_edge: dict[int, int]
     children: dict[int, tuple[int, ...]]
+    parent: dict[int, int] = field(init=False, repr=False, compare=False)
+    parent_edge: dict[int, int] = field(init=False, repr=False, compare=False)
     postorder: tuple[int, ...] = field(init=False)
     index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        assert self.root not in self.parent
-        assert self.parent_edge.keys() == self.parent.keys()
-        for v, p in self.parent.items():
-            u, w = self.graph.edges[self.parent_edge[v]]
-            assert {u, w} == {v, p}
-        for p, kids in self.children.items():
-            for c in kids:
-                assert self.parent.get(c) == p, "children disagree with parent pointers"
+        parent: dict[int, int] = {}
+        parent_edge: dict[int, int] = {}
         post: list[int] = []
         stack: list[tuple[int, int]] = [(self.root, 0)]
         while stack:
             v, i = stack.pop()
             kids = self.children.get(v, ())
             if i < len(kids):
+                c = kids[i]
+                if c == self.root or c in parent:
+                    raise ValueError(f"vertex {c} is reached twice from the root")
+                eid = self.graph.edge_id(c, v)
+                if eid is None:
+                    raise ValueError(f"no edge joins {c} to its parent {v}")
+                parent[c] = v
+                parent_edge[c] = eid
                 stack.append((v, i + 1))
-                stack.append((kids[i], 0))
+                stack.append((c, 0))
             else:
                 post.append(v)
-        assert len(post) == len(self.parent) + 1, "some vertex is cut off from the root"
+        if not self.children.keys() <= parent.keys() | {self.root}:
+            raise ValueError("some vertex is cut off from the root")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "parent_edge", parent_edge)
         object.__setattr__(self, "postorder", tuple(post))
         object.__setattr__(self, "index", {v: i for i, v in enumerate(post)})
 
     @classmethod
-    def build(
-        cls,
-        graph: Graph,
-        root: int,
-        parent: dict[int, int],
-        parent_edge: dict[int, int],
-    ) -> RootedTree:
+    def build(cls, graph: Graph, root: int, parent: dict[int, int]) -> RootedTree:
         """Assemble a tree from parent pointers, children in vertex-id order."""
-        kids: dict[int, list[int]] = {v: [] for v in list(parent) + [root]}
+        kids: dict[int, list[int]] = {v: [] for v in (*parent, root)}
         for v, p in parent.items():
-            kids[p].append(v)
-        children = {v: tuple(sorted(lst)) for v, lst in kids.items()}
-        return cls(graph, root, dict(parent), dict(parent_edge), children)
+            kids.setdefault(p, []).append(v)
+        return cls(graph, root, {v: tuple(sorted(lst)) for v, lst in kids.items()})
+
+    def reordered(self, last: dict[int, int]) -> RootedTree:
+        """This tree with child ``last[v]`` moved to the end of the children
+        of ``v``, for each ``v`` in ``last``; ``self`` when nothing moves."""
+        kids = dict(self.children)
+        for v, t in last.items():
+            kids[v] = tuple(c for c in kids[v] if c != t) + (t,)
+        return self if kids == self.children else RootedTree(self.graph, self.root, kids)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -80,7 +94,7 @@ class RootedTree:
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(
-            sorted(v for v in self.postorder if v != self.root and not self.children[v])
+            sorted(v for v in self.postorder if v != self.root and not self.children.get(v))
         )
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
@@ -135,19 +149,19 @@ class RootedForestSeq:
     def __post_init__(self) -> None:
         trees = tuple(tree for forest in self.forests for tree in forest)
         rounds = [i for i, forest in enumerate(self.forests) for _ in forest]
-        assert len(self.tree_pairs) == len(trees), "one pair list per tree"
+        if len(self.tree_pairs) != len(trees):
+            raise ValueError("one pair list per tree")
         roots = {tree.root: t for t, tree in enumerate(trees)}
         home = {v: t for t, tree in enumerate(trees) for v in tree.postorder[:-1]}
-        assert len(roots) == len(trees), "two trees share a root"
-        assert len(home) == sum(len(tree.parent) for tree in trees), (
-            "two trees share a non-root vertex"
-        )
+        if len(roots) != len(trees):
+            raise ValueError("two trees share a root")
+        if len(home) != sum(len(tree.parent) for tree in trees):
+            raise ValueError("two trees share a non-root vertex")
         glue = tuple(home.get(tree.root) for tree in trees)
         for t, up in enumerate(glue):
             # Glues only point back in the sequence, so the order is acyclic.
-            assert up is None or rounds[up] < rounds[t], (
-                "a root may only reuse a leaf of an earlier forest"
-            )
+            if up is not None and rounds[up] >= rounds[t]:
+                raise ValueError("a root may only reuse a leaf of an earlier forest")
         object.__setattr__(self, "_trees", trees)
         object.__setattr__(self, "_home", roots | home)
         object.__setattr__(self, "_glue", glue)
@@ -185,7 +199,8 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     Components are processed independently and their rounds merged
     positionally — trees from different components are vertex-disjoint, so
     the cascading conditions are preserved.  Raises
-    :class:`UnanchoredComponentError` on a component with k_i = 0.
+    :class:`UnanchoredComponentError` on a component with k_i = 0, and
+    :class:`AnalysisInvariantError` if a round reaches no new class.
     """
     from .repetition import tree_repetition_pairs
 
@@ -225,7 +240,6 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
             trees: list[tuple] = []
             for r in allowed:
                 parent: dict[int, int] = {}
-                parent_edge: dict[int, int] = {}
                 local = {r}
                 local_claims: dict[int, int] = {}
                 queue: deque[int] = deque([r])
@@ -239,13 +253,11 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
                         cls = vertex_class.get(y)
                         if cls is None:
                             parent[y] = x
-                            parent_edge[y] = eid
                             local.add(y)
                             queue.append(y)
                         elif cls not in visited and cls not in claimed and cls not in local_claims:
                             local_claims[cls] = y
                             parent[y] = x
-                            parent_edge[y] = eid
                             local.add(y)
                 reached |= local
                 if not local_claims:
@@ -256,16 +268,12 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
                     while x not in keep:
                         keep.add(x)
                         x = parent[x]
-                raw = RootedTree.build(
-                    g,
-                    r,
-                    {v: parent[v] for v in keep if v != r},
-                    {v: parent_edge[v] for v in keep if v != r},
-                )
+                raw = RootedTree.build(g, r, {v: parent[v] for v in keep if v != r})
                 trees.append(tree_repetition_pairs(raw, dec.colouring, dec.matching))
                 claimed.update(local_claims)
                 used |= keep
-            assert claimed, "cascade stalled before reaching every class"
+            if not claimed:
+                raise AnalysisInvariantError("cascade stalled before reaching every class")
             rounds.append(trees)
             visited |= set(claimed)
             prev_leaves = sorted(claimed.values())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .decompose import ColourDecomposition, matched_colour_map
+from .decompose import AnalysisInvariantError, ColourDecomposition, matched_colour_map
 from .forests import RootedForestSeq
 # tree_repetition_pairs is not called here; bench/tracing.py probes it here.
 from .repetition import repetition_content, tree_repetition_pairs  # noqa: F401
@@ -77,9 +77,10 @@ def _interior_clashes(records: list[PairRecord]) -> int:
     """Count the record pairs of different colours whose paths share an
     interior vertex, in one pass over the interiors.
 
-    Asserts that matched pairs have interior-disjoint paths.  Only vertices
-    whose interiors mix colours produce candidate pairs, so on a valid
-    sequence the pass never enumerates a pair.
+    Raises :class:`AnalysisInvariantError` unless matched pairs have
+    interior-disjoint paths.  Only vertices whose interiors mix colours
+    produce candidate pairs, so on a valid sequence the pass never
+    enumerates a pair.
     """
     owners: dict[int, dict[int, list[int]]] = {}  # vertex -> colour -> records
     for i, r in enumerate(records):
@@ -88,9 +89,8 @@ def _interior_clashes(records: list[PairRecord]) -> int:
     clashes: set[tuple[int, int]] = set()
     for by_colour in owners.values():
         through = [i for ids in by_colour.values() for i in ids]
-        assert sum(records[i].matched for i in through) <= 1, (
-            "matched pairs must have interior-disjoint paths"
-        )
+        if sum(records[i].matched for i in through) > 1:
+            raise AnalysisInvariantError("matched pairs must have interior-disjoint paths")
         if len(by_colour) > 1:
             clashes.update(
                 (i, j)
@@ -107,10 +107,11 @@ def collect_repetition_pairs(
     built from ``dec``.
 
     Reads each tree's pairs from ``seq.tree_pairs``, records their paths,
-    and asserts the structural guarantees the pairing construction does
-    not check itself: distinct first coordinates across all trees, equal
+    and checks the structural guarantees the pairing construction does not
+    check itself: distinct first coordinates across all trees, equal
     matching colours, monochromatic pair paths whose interior avoids the
-    shared colour, and interior-disjoint paths for matched pairs.  The
+    shared colour, and interior-disjoint paths for matched pairs.  A failed
+    check raises :class:`AnalysisInvariantError` naming it.  The
     order of each pair is certified where the tree order is built, by
     :func:`tree_repetition_pairs`.
     """
@@ -123,18 +124,18 @@ def collect_repetition_pairs(
     firsts_seen: set[int] = set()
     for tree, pairs in zip(seq.trees(), seq.tree_pairs):
         for u, v in pairs:
+            # decompose rejects an imperfect matching, so colour is not None.
             colour = mcl[u]
-            assert u != v and colour is not None
-            assert u not in firsts_seen, "pair first coordinates must be globally distinct"
+            if u == v or mcl[v] != colour:
+                raise AnalysisInvariantError("pairs must join two vertices of one matching colour")
+            if u in firsts_seen:
+                raise AnalysisInvariantError("pair first coordinates must be globally distinct")
             firsts_seen.add(u)
-            assert mcl[v] == colour
             path = tree.path(u, v)
-            for x, y in zip(path, path[1:]):
-                assert col.colour[g.edge_id(x, y)] == colour, (
-                    "pair paths must be monochromatic"
-                )
-            for x in path[1:-1]:
-                assert mcl[x] != colour, "interior vertices must not repeat the pair colour"
+            if any(col.colour[g.edge_id(x, y)] != colour for x, y in zip(path, path[1:])):
+                raise AnalysisInvariantError("pair paths must be monochromatic")
+            if any(mcl[x] == colour for x in path[1:-1]):
+                raise AnalysisInvariantError("interior vertices must not repeat the pair colour")
             records.append(
                 PairRecord(u=u, v=v, colour=colour, path=path, matched=m.mate[u] == v)
             )
@@ -152,12 +153,13 @@ def collect_repetition_pairs(
             kind = "high"
         elif len(support) >= 6:
             kind = "low_large"
+        elif len(support) == 4:
+            kind = "low_small"
         else:
-            assert len(support) == 4, (
+            raise AnalysisInvariantError(
                 "low supports are closed under matching partners, "
                 "hence even and of size at least four"
             )
-            kind = "low_small"
         colours[colour] = ColourPairs(recs, support, rp, kind)
 
     return RepetitionPairs(

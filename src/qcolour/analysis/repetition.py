@@ -14,7 +14,8 @@ from __future__ import annotations
 from ..colouring import EdgeColouring
 from ..matching import Matching
 # matched_colour_map is not called here; bench/tracing.py probes it here.
-from .decompose import matched_colour_map  # noqa: F401
+from .decompose import AnalysisInvariantError, matched_colour_map  # noqa: F401
+from .forests import RootedTree
 
 __all__ = [
     "path_repetition",
@@ -106,17 +107,14 @@ def repetition_content(
     colours = {col.colour[eid] for eid in ids}
     if len(colours) != 1:
         raise ValueError("matching edges of the set are not monochromatic")
-    rp = len(ids) - 1
-    assert 2 * rp >= len(vertices) - 2
-    assert rp <= len(vertices) - 1
-    return rp
+    return len(ids) - 1
 
 
 def tree_repetition_pairs(
-    tree: "RootedTree",
+    tree: RootedTree,
     col: EdgeColouring,
     m: Matching,
-) -> tuple[tuple[tuple[int, int], ...], "RootedTree"]:
+) -> tuple[tuple[tuple[int, int], ...], RootedTree]:
     """Extract one matching-colour pair per leaf of a rooted tree.
 
     Requires every vertex matched, every edge at the root coloured with
@@ -134,9 +132,11 @@ def tree_repetition_pairs(
     pairs leaves below it and deletes the branches they hang from.  The
     tree left after the walk is monochromatic, and each of its leaves
     pairs upward to the nearest ancestor of the tree colour.
-    """
-    from .forests import RootedTree
 
+    Raises ``ValueError`` when a precondition fails or some vertex sees
+    three colours, and :class:`AnalysisInvariantError` when the pairs
+    break a guarantee above.
+    """
     g = tree.graph
     if col.graph is not g or m.graph is not g:
         raise ValueError("tree, colouring and matching refer to different graphs")
@@ -198,16 +198,20 @@ def tree_repetition_pairs(
         return (u, x)
 
     for v in verts:
-        assert len(colours_at(v)) <= 2, "a vertex sees three tree colours"
+        if len(colours_at(v)) > 2:
+            raise ValueError(f"vertex {v} sees three tree colours")
 
     for v in tree.postorder:
         while v in alive:
             seen = colours_at(v)
             if len(seen) < 2:
                 break
-            assert v != root, "the root cannot see two tree colours"
+            # The root sees only its own matching colour, so v is not the root.
             a = mcl[v]
-            assert a in seen
+            if a not in seen:
+                raise ValueError(
+                    f"vertex {v} sees three colours; the colouring is not valid"
+                )
             (b,) = seen - {a}
             a_children = [c for c in children[v] if ecol[c] == a]
             b_children = [c for c in children[v] if ecol[c] == b]
@@ -224,8 +228,8 @@ def tree_repetition_pairs(
                     for c in a_children:
                         delete_subtree(c)
                 else:
-                    # Drop v with the chain of one-child ancestors above it.
-                    assert ecol[v] == b
+                    # v's parent edge carries b.  Drop v with the chain of
+                    # one-child ancestors above it.
                     drop = v
                     while parent[drop] != root and len(children[parent[drop]]) == 1:
                         drop = parent[drop]
@@ -233,21 +237,19 @@ def tree_repetition_pairs(
                 continue
 
             # No child edge below v carries a: the second colour comes from
-            # below via b, and the parent edge carries a.
-            assert ecol[v] == a
-            assert b_children
+            # below via b, and the parent edge carries a.  The walk has
+            # passed the branches below, so they and their leaves' matching
+            # edges are all coloured b.
             sub = below(v)
-            assert all(ecol[x] == b for x in sub), "branches below are not monochromatic"
             leaves_b = [x for x in sub if not children[x]]
-            assert all(mcl[u] == b for u in leaves_b)
             w = max(leaves_b)
             spine = [w]
             while spine[-1] != v:
                 spine.append(parent[spine[-1]])
             spine.reverse()  # v ... w
-            for s, t in zip(spine, spine[1:]):
-                assert s not in spine_last or spine_last[s] == t
-                spine_last[s] = t
+            # The step deletes the spine below v and leaves v a leaf, so no
+            # later spine gives a vertex here a second successor.
+            spine_last.update(zip(spine, spine[1:]))
             on_spine = {x: i for i, x in enumerate(spine)}
             for u in leaves_b:
                 if u == w:
@@ -266,21 +268,14 @@ def tree_repetition_pairs(
     if children[root]:
         # Monochromatic remainder: every leaf pairs upward to the nearest
         # ancestor carrying the (single) tree colour.
-        a = ecol[children[root][0]]
-        assert mcl[root] == a
+        a = mcl[root]
         for u in below(root):
             if not children[u]:
                 pairs.append(mono_pair(u, a))
 
-    assert len(pairs) == len(tree.leaves()), "one pair per original leaf"
-
-    kids = dict(tree.children)
-    for v, t in spine_last.items():
-        kids[v] = tuple(c for c in kids[v] if c != t) + (t,)
-    ordered = (
-        tree if kids == tree.children
-        else RootedTree(g, root, tree.parent, tree.parent_edge, kids)
-    )
-    for u, x in pairs:
-        assert ordered.preceq(u, x), "pairs must respect the post-order"
+    if len(pairs) != len(tree.leaves()):
+        raise AnalysisInvariantError("one pair per original leaf")
+    ordered = tree.reordered(spine_last)
+    if not all(ordered.preceq(u, x) for u, x in pairs):
+        raise AnalysisInvariantError("pairs must respect the post-order")
     return tuple(sorted(pairs)), ordered

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import EdgeSubset, Graph, components, read_records
+from .graph import Graph, components, read_records
 from .matching import Matching, maximum_matching
 
 
@@ -57,18 +57,6 @@ class EdgeColouring:
                 relabel[v] = len(relabel)
             out.append(relabel[v])
         return cls(g, tuple(out))
-
-    def palette(self) -> range:
-        return range(self.num_colours)
-
-    def colour_class(self, c: int) -> EdgeSubset:
-        """All edges carrying colour ``c``."""
-        if not (0 <= c < self.num_colours):
-            raise ValueError(f"colour {c} not in palette")
-        return EdgeSubset(
-            self.graph,
-            frozenset(eid for eid, col in enumerate(self.colour) if col == c),
-        )
 
     def vertex_colours(self, v: int) -> frozenset[int]:
         return frozenset(self.colour[eid] for _, eid in self.graph.adjacency[v])

@@ -73,17 +73,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
-
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -115,15 +104,6 @@ class EdgeSubset:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def vertices(self) -> frozenset[int]:
-        """All endpoints of member edges."""
-        out: set[int] = set()
-        for eid in self.members:
-            u, v = self.graph.edges[eid]
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)

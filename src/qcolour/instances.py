@@ -33,7 +33,9 @@ from .colouring import (
     validate,
 )
 from .graph import Graph, is_triangle_free, parse_graph
-from .matching import Matching, is_maximum, is_perfect, maximum_matching, parse_matching
+from .matching import Matching, is_maximum, is_perfect, parse_matching
+# maximum_matching is not called here; bench/tracing.py probes it here.
+from .matching import maximum_matching  # noqa: F401
 
 __all__ = [
     "CertifiedInstance",
@@ -116,15 +118,12 @@ def fig5_lower_bound() -> CertifiedInstance:
 
     if g.n != 72:
         raise ValueError(f"lower-bound instance must have 72 vertices, got {g.n}")
-    recomputed = maximum_matching(g)
-    if recomputed.edges != m.edges:
-        raise ValueError("checked-in matching is not the computed maximum matching")
     if not is_perfect(g, m):
         raise ValueError("lower-bound matching must be perfect")
 
     alg_col, alg_m, h = matching_based_colouring(g)
     if alg_m.edges != m.edges:
-        raise ValueError("algorithm matched a different edge set than the data file")
+        raise ValueError("checked-in matching is not the computed maximum matching")
     if h != 1:
         raise ValueError(f"expected one residual component, got {h}")
     if alg_col.num_colours != 37:

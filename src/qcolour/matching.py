@@ -47,9 +47,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges.members)
 
-    def covers(self, v: int) -> bool:
-        return self.mate[v] is not None
-
     def matched_edge(self, v: int) -> int | None:
         """Edge id of the matching edge at ``v``, if any."""
         mate = self.mate[v]

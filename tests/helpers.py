@@ -240,9 +240,7 @@ def random_pair_tree(
 
     values = [ecol[v] for v in range(1, t)] + [mcl[v] for v in range(t)]
     col = EdgeColouring.from_values(g, values)
-    tree = RootedTree.build(
-        g, 0, parent, {v: v - 1 for v in range(1, t)}
-    )
+    tree = RootedTree.build(g, 0, parent)
     return tree, col, m
 
 

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from qcolour import (
     optimal_colouring,
 )
 from qcolour.analysis import (
+    AnalysisInvariantError,
     DisconnectedColourClassError,
     ImperfectMatchingError,
     InvalidColouringError,
@@ -212,7 +217,7 @@ def test_pairs_on_monochromatic_star():
     g = Graph(6, tuple(tree_edges) + tuple(mate_edges))
     m = Matching.from_edge_ids(g, {2, 3, 4})
     col = EdgeColouring(g, (0,) * 5)
-    tree = RootedTree.build(g, 0, {1: 0, 2: 0}, {1: 0, 2: 1})
+    tree = RootedTree.build(g, 0, {1: 0, 2: 0})
     pairs, ordered = tree_repetition_pairs(tree, col, m)
     assert sorted(pairs) == [(1, 0), (2, 0)]
     check_pair_properties(ordered, pairs, col, m)
@@ -223,7 +228,7 @@ def test_pairs_validate_root_and_leaf_conditions():
     mate_edges = [(0, 3), (1, 4), (2, 5)]
     g = Graph(6, tuple(tree_edges) + tuple(mate_edges))
     m = Matching.from_edge_ids(g, {2, 3, 4})
-    tree = RootedTree.build(g, 0, {1: 0, 2: 0}, {1: 0, 2: 1})
+    tree = RootedTree.build(g, 0, {1: 0, 2: 0})
     bad_root = EdgeColouring.from_values(g, ["x", "r", "r", "x", "r"])
     with pytest.raises(ValueError, match="root"):
         tree_repetition_pairs(tree, bad_root, m)
@@ -313,9 +318,7 @@ def test_cascade_leaf_count_identity_on_witnesses():
         seq = build_cascading_sequence(dec)
         leaves = sum(len(t.leaves()) for t in seq.trees())
         assert leaves == sum(k - 1 for k in dec.k)
-        class_vertices = set()
-        for c in dec.non_matching_colours:
-            class_vertices |= dec.colouring.colour_class(c).vertices()
+        class_vertices = set(dec.vertex_class)
         for t in seq.trees():
             leaves = set(t.leaves())
             for w in t.postorder[:-1]:
@@ -359,8 +362,8 @@ def test_sequence_order_climbs_from_the_glued_leaf():
     # root 2 with leaf 3.  From 3 the climb enters the first tree at 2, so
     # 0 and 2 follow 3 but 1 does not.
     g = Graph(4, ((0, 1), (0, 2), (2, 3)))
-    first = RootedTree.build(g, 0, {1: 0, 2: 0}, {1: 0, 2: 1})
-    second = RootedTree.build(g, 2, {3: 2}, {3: 2})
+    first = RootedTree.build(g, 0, {1: 0, 2: 0})
+    second = RootedTree.build(g, 2, {3: 2})
     seq = RootedForestSeq(g, ((first,), (second,)), ((), ()))
     assert first.postorder == (1, 2, 0)
     assert seq.preceq(3, 0) and seq.preceq(3, 2)
@@ -372,10 +375,73 @@ def test_sequence_rejects_a_root_glued_to_a_later_forest():
     # Trees rooted at 0 and at 1 on one edge: each root is the other's
     # leaf, which would make the order cyclic.
     g = Graph(2, ((0, 1),))
-    first = RootedTree.build(g, 0, {1: 0}, {1: 0})
-    second = RootedTree.build(g, 1, {0: 1}, {0: 0})
-    with pytest.raises(AssertionError, match="earlier forest"):
+    first = RootedTree.build(g, 0, {1: 0})
+    second = RootedTree.build(g, 1, {0: 1})
+    with pytest.raises(ValueError, match="earlier forest"):
         RootedForestSeq(g, ((first,), (second,)), ((), ()))
+
+
+def test_rooted_tree_rejects_a_shape_that_is_not_a_tree():
+    g = Graph(4, ((0, 1), (1, 2), (2, 0)))
+    with pytest.raises(ValueError, match="vertex 0 is reached twice"):
+        RootedTree(g, 0, {0: (1,), 1: (2,), 2: (0,)})
+    with pytest.raises(ValueError, match="vertex 2 is reached twice"):
+        RootedTree(g, 0, {0: (1, 2), 1: (2,)})
+    with pytest.raises(ValueError, match="no edge joins 3 to its parent 0"):
+        RootedTree.build(g, 0, {1: 0, 3: 0})
+    with pytest.raises(ValueError, match="cut off from the root"):
+        RootedTree.build(g, 0, {1: 2, 2: 1})
+
+
+# Each probe prints the type and message of the exception it raises.  The
+# checks they hit are part of the analysis, so `python -O` must not change
+# either.
+_PROBE_PRELUDE = """
+from qcolour import EdgeColouring, Graph, Matching
+from qcolour.analysis import RootedForestSeq, RootedTree, tree_repetition_pairs
+"""
+_PROBES = {
+    # Two one-edge trees, each rooted at the other's leaf: a cyclic order.
+    "glued_roots": """
+g = Graph(2, ((0, 1),))
+first, second = RootedTree.build(g, 0, {1: 0}), RootedTree.build(g, 1, {0: 1})
+RootedForestSeq(g, ((first,), (second,)), ((), ()))
+""",
+    # Vertex 1 meets tree edges of colours 0, 1 and 2.
+    "three_tree_colours": """
+g = Graph(8, ((0, 1), (1, 2), (1, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
+m = Matching.from_edge_ids(g, {3, 4, 5, 6})
+col = EdgeColouring(g, (0, 1, 2, 0, 3, 1, 2))
+tree_repetition_pairs(RootedTree.build(g, 0, {1: 0, 2: 1, 3: 1}), col, m)
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "probe, expected",
+    [
+        ("glued_roots", "ValueError: a root may only reuse a leaf of an earlier forest"),
+        ("three_tree_colours", "ValueError: vertex 1 sees three tree colours"),
+    ],
+)
+def test_constructor_checks_are_the_same_under_optimize(probe, expected):
+    body = "\n".join("    " + line for line in _PROBES[probe].strip().splitlines())
+    code = (
+        f"{_PROBE_PRELUDE}try:\n{body}\n"
+        "except Exception as exc:\n    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert outputs == [expected + "\n"] * 2
 
 
 # ------------------------------------------------------------------- pairs
@@ -406,7 +472,7 @@ def test_interior_clashes_count_each_record_pair_once():
     ]
     assert _interior_clashes(recs) == 2  # (0, 1) and (1, 2); 0 and 2 share a colour
     matched = [PairRecord(0, 9, 0, (0, 5, 9), True), PairRecord(1, 8, 1, (1, 5, 8), True)]
-    with pytest.raises(AssertionError, match="interior-disjoint"):
+    with pytest.raises(AnalysisInvariantError, match="interior-disjoint"):
         _interior_clashes(matched)
 
 

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcolour import optimal_colouring, serialize_colouring, serialize_graph, serialize_matching
 from qcolour.cli import (
@@ -20,6 +25,7 @@ from qcolour.cli import (
     main,
 )
 from qcolour.exact import EXACT_EDGE_LIMIT
+from qcolour.graph import MAX_VERTICES
 from qcolour.instances import fig5_lower_bound, named, random_with_perfect_matching
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -164,6 +170,26 @@ def test_analyze_structural_failure(capsys, tmp_path):
     code = main(["analyze", str(gfile), str(mfile), str(cfile)])
     assert code == EXIT_STRUCTURAL
     assert "perfect" in capsys.readouterr().err
+
+
+def test_failed_analysis_invariant_is_a_structural_error(capsys, monkeypatch):
+    # A tree that reports its first pair twice breaks the lemma that first
+    # coordinates are distinct, which the pair collection checks.
+    import qcolour.analysis.repetition as repetition
+
+    def doubled_pairs(tree, col, m, original=repetition.tree_repetition_pairs):
+        pairs, ordered = original(tree, col, m)
+        return pairs + pairs[:1], ordered
+
+    monkeypatch.setattr(repetition, "tree_repetition_pairs", doubled_pairs)
+    assert main(["analyze", str(FIG5), str(FIG5_MATCHING), str(FIG5_CERT)]) == EXIT_STRUCTURAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: pair first coordinates must be globally distinct\n"
+    assert main(["sweep", "--count", "3", "--sizes", "8", "--seed", "5"]) == EXIT_FAILED
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    errors = [r.get("analysis_error") for r in rows if r["status"] == "failed"]
+    assert errors and set(errors) == {"pair first coordinates must be globally distinct"}
 
 
 def test_analyze_structural_error_on_edgeless_graph(tmp_path):
@@ -376,3 +402,59 @@ def test_analyze_fig5_is_identical_under_optimize():
     assert [r.returncode for r in runs] == [EXIT_OK, EXIT_OK]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stderr == runs[1].stderr == ""
+
+
+@st.composite
+def _documents(draw) -> tuple[str, str, str]:
+    """Graph, matching and colouring texts.  Small graphs carry a greedy
+    (often imperfect) matching and a colouring with arbitrary, often
+    non-canonical or invalid, colour values, or the matching-based one;
+    the other kinds are edgeless graphs, deep paths and oversized
+    headers."""
+    kind = draw(st.sampled_from(["small", "edgeless", "deep", "huge"]))
+    if kind == "huge":
+        return f"{MAX_VERTICES + 1} 0\n", "", ""
+    if kind == "edgeless":
+        return f"{draw(st.integers(0, 4))} 0\n", "", ""
+    if kind == "deep":
+        n = 2 * draw(st.integers(1, 150))
+        edges = [(v, v + 1) for v in range(n - 1)]
+    else:
+        n = draw(st.integers(2, 7))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+    matched: list[tuple[int, int]] = []
+    covered: set[int] = set()
+    for u, v in draw(st.permutations(edges)) if kind == "small" else edges[::2]:
+        if u not in covered and v not in covered:
+            matched.append((u, v))
+            covered |= {u, v}
+    if draw(st.booleans()):
+        colours = [matched.index(e) if e in matched else len(matched) for e in edges]
+    else:
+        colours = draw(st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges)))
+    graph = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    matching = "".join(f"{u} {v}\n" for u, v in matched)
+    colouring = "".join(f"{u} {v} {c}\n" for (u, v), c in zip(edges, colours))
+    return graph, matching, colouring
+
+
+@given(_documents())
+def test_cli_fuzz_exits_with_a_documented_code_and_reruns_identically(documents):
+    with tempfile.TemporaryDirectory() as tmp:
+        g, m, c = (Path(tmp) / name for name in ("g", "m", "c"))
+        for path, text in zip((g, m, c), documents):
+            path.write_text(text)
+        for argv in (
+            ["approx", str(g)],
+            ["verify", str(g), str(c)],
+            ["analyze", str(g), str(m), str(c)],
+            ["exact", str(g), "--budget", "1000"],
+        ):
+            runs = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                runs.append((code, out.getvalue()))
+            assert runs[0][0] in {0, 1, 2, 3, 4}, argv
+            assert runs[0] == runs[1], argv

@@ -31,7 +31,6 @@ def test_mate_view_matches_edge_set():
     m = Matching.from_edge_ids(g, {0, 1})
     assert m.mate == (1, 0, 3, 2)
     assert m.size == 2
-    assert m.covers(0) and m.covers(3)
     assert m.matched_edge(2) == 1
     assert is_perfect(g, m)
 
@@ -40,7 +39,6 @@ def test_exposed_vertices_have_no_mate():
     g = Graph(3, ((0, 1), (1, 2)))
     m = Matching.from_edge_ids(g, {0})
     assert m.mate[2] is None
-    assert not m.covers(2)
     assert m.matched_edge(2) is None
     assert not is_perfect(g, m)
 
