@@ -14,8 +14,9 @@ and colouring; every later stage takes the decomposition it returns:
    paired matching colour: its pairs, support, repetition content and
    class (high, low-large or low-small).
 4. :func:`verify_bound_chain` ``(dec, rp)`` — check every counting
-   relation with exact rationals (the 8/5 tail exactly when the graph is
-   triangle-free) and report the certified colour/ratio statistics.
+   relation as an integer comparison, both sides scaled by its
+   denominator (the 8/5 tail exactly when the graph is triangle-free),
+   and report the certified colour/ratio statistics.
 
 :func:`analyse` runs all four.
 """

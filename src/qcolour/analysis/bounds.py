@@ -1,8 +1,9 @@
 """Numeric verification of the counting chain behind the approximation bounds.
 
 Every inequality used to bound the number of colours of a valid q=2
-colouring against ``|M| + h`` is checked here on a concrete instance,
-with exact rational arithmetic.  Failures never raise; each check is a
+colouring against ``|M| + h`` is checked here on a concrete instance, as
+an integer comparison after both sides are multiplied by the relation's
+denominator.  Failures never raise; each check is a
 :class:`BoundEntry` whose ``passed`` flag records the outcome, so a
 report can be inspected or serialized even when something is violated.
 """
@@ -21,13 +22,23 @@ __all__ = ["BoundEntry", "BoundReport", "verify_bound_chain"]
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One verified relation: ``lhs relation rhs`` with its outcome."""
+    """One verified relation ``lhs relation rhs`` with its outcome, both
+    sides stored as integer numerators over the common denominator ``den``."""
 
     id: str
     relation: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs_num: int
+    rhs_num: int
+    den: int
     passed: bool
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_num, self.den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.den)
 
     def to_json_dict(self) -> dict:
         return {
@@ -39,9 +50,8 @@ class BoundEntry:
         }
 
 
-def _entry(eid: str, lhs: Fraction | int, rhs: Fraction | int, rel: str) -> BoundEntry:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
+def _entry(eid: str, lhs: int, rhs: int, rel: str, den: int = 1) -> BoundEntry:
+    """``lhs`` and ``rhs`` are the two sides already multiplied by ``den``."""
     if rel == "<=":
         ok = lhs <= rhs
     elif rel == ">=":
@@ -50,7 +60,7 @@ def _entry(eid: str, lhs: Fraction | int, rhs: Fraction | int, rel: str) -> Boun
         ok = lhs == rhs
     else:  # pragma: no cover - internal misuse
         raise ValueError(f"unknown relation {rel!r}")
-    return BoundEntry(id=eid, relation=rel, lhs=lhs, rhs=rhs, passed=ok)
+    return BoundEntry(eid, rel, lhs, rhs, den, ok)
 
 
 @dataclass(frozen=True)
@@ -182,21 +192,18 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
         _entry("total_vs_matching_repetition", c, msize - total_rp + cn, "<=")
     )
 
-    rhs = sum(
-        (Fraction(len(cp.records) - cp.matched, 2) for cp in high), Fraction(0)
-    ) + sum((Fraction(len(cp.records) - 1, 2) for cp in low), Fraction(0))
-    entries.append(_entry("repetition_lower_bound", total_rp, rhs, ">="))
+    rhs = sum(len(cp.records) - cp.matched for cp in high) + sum(
+        len(cp.records) - 1 for cp in low
+    )
+    entries.append(_entry("repetition_lower_bound", 2 * total_rp, rhs, ">=", 2))
 
     entries.append(
         _entry(
             "total_vs_pair_counts",
-            c,
-            cn
-            + msize
-            - Fraction(cn - h, 2)
-            + Fraction(delta, 2)
-            + Fraction(n_low, 2),
+            2 * c,
+            2 * (cn + msize) - (cn - h) + delta + n_low,
             "<=",
+            2,
         )
     )
 
@@ -205,24 +212,18 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
     entries.append(
         _entry(
             "total_vs_internal_budget",
-            c,
-            Fraction(3 * msize, 2) + Fraction(delta + 2 * n_low, 4) + Fraction(h, 2),
+            4 * c,
+            6 * msize + delta + 2 * n_low + 2 * h,
             "<=",
+            4,
         )
     )
 
     entries.append(
-        _entry(
-            "total_vs_low_colours",
-            c,
-            2 * msize - Fraction(delta + 2 * n_low, 2),
-            "<=",
-        )
+        _entry("total_vs_low_colours", 2 * c, 4 * msize - delta - 2 * n_low, "<=", 2)
     )
 
-    entries.append(
-        _entry("approximation_5_3", c, Fraction(5 * (msize + h), 3), "<=")
-    )
+    entries.append(_entry("approximation_5_3", 3 * c, 5 * (msize + h), "<=", 3))
 
     if triangle_free:
         bad = sum(1 for r in matched_records if len(r.path) < 4)
@@ -247,13 +248,10 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
         entries.append(
             _entry(
                 "total_vs_pair_counts_split",
-                c,
-                cn
-                + msize
-                - Fraction(cn - h, 2)
-                + Fraction(delta, 2)
-                + Fraction(n_low_large + n_low_small, 2),
+                2 * c,
+                2 * (cn + msize) - (cn - h) + delta + n_low_large + n_low_small,
                 "<=",
+                2,
             )
         )
 
@@ -266,17 +264,14 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
         entries.append(
             _entry(
                 "total_vs_internal_budget_tf",
-                c,
-                Fraction(3 * msize, 2)
-                + Fraction(2 * n_low_large + n_low_small, 4)
-                + Fraction(h, 2),
+                4 * c,
+                6 * msize + 2 * n_low_large + n_low_small + 2 * h,
                 "<=",
+                4,
             )
         )
 
-        entries.append(
-            _entry("approximation_8_5", c, Fraction(8 * (msize + h), 5), "<=")
-        )
+        entries.append(_entry("approximation_8_5", 5 * c, 8 * (msize + h), "<=", 5))
 
     return BoundReport(
         n=n,

@@ -179,6 +179,8 @@ def is_maximum(g: Graph, m: Matching) -> bool:
     so it costs what that search costs on ``m``."""
     if m.graph != g:
         raise ValueError("matching belongs to a different graph")
+    if None not in m.mate:
+        return True
     match = [-1 if w is None else w for w in m.mate]
     search, _ = _searcher(g, match)
     return all(search(v) == -1 for v in range(g.n) if match[v] == -1)

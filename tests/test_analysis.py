@@ -36,6 +36,7 @@ from qcolour.analysis import (
     tree_repetition_pairs,
     verify_bound_chain,
 )
+from qcolour.analysis import bounds
 from qcolour.analysis.pairs import _interior_clashes
 from qcolour.instances import (
     fig5_lower_bound,
@@ -556,6 +557,90 @@ def test_bound_reports_match_the_pinned_digest():
     # The corpus must reach the high-colour branch and its matched pairs.
     assert high_and_delta > 0
     assert digest.hexdigest() == ANALYSIS_DIGEST
+
+
+def _closed_form_rhs(report) -> dict[str, Fraction]:
+    """The right-hand side of every closed-form relation, recomputed in
+    Fractions from the report's public counts."""
+    m, h, cn, delta = report.matching_size, report.h, report.non_matching_colours, report.delta
+    low, large, small = report.low_colours, report.low_large, report.low_small
+    half = Fraction(1, 2)
+    rhs = {
+        "total_vs_pair_counts": cn + m - (cn - h) * half + delta * half + low * half,
+        "total_vs_internal_budget": 3 * m * half + Fraction(delta + 2 * low, 4) + h * half,
+        "total_vs_low_colours": 2 * m - (delta + 2 * low) * half,
+        "approximation_5_3": Fraction(5, 3) * (m + h),
+    }
+    if report.triangle_free:
+        rhs["total_vs_pair_counts_split"] = (
+            cn + m - (cn - h) * half + delta * half + (large + small) * half
+        )
+        rhs["total_vs_internal_budget_tf"] = (
+            3 * m * half + Fraction(2 * large + small, 4) + h * half
+        )
+        rhs["approximation_8_5"] = Fraction(8, 5) * (m + h)
+    return rhs
+
+
+def test_closed_form_relations_match_a_fraction_recomputation():
+    fig5 = fig5_lower_bound()
+    cases = [(fig5.graph, fig5.matching, fig5.certified_colouring)]
+    for gen, sizes in (
+        (random_with_perfect_matching, (6, 8, 10)),
+        (random_triangle_free_with_pm, (8, 10, 12)),
+    ):
+        for n in sizes:
+            for seed in range(20):
+                inst = gen(n, 0.3, seed)
+                cases.append((inst.graph, inst.matching, optimal_colouring(inst.graph).witness))
+    triangle_free = 0
+    for g, m, col in cases:
+        report = analyse(g, m, col)
+        triangle_free += report.triangle_free
+        for eid, rhs in _closed_form_rhs(report).items():
+            entry = report.entry(eid)
+            assert entry.lhs == report.colours, eid
+            assert entry.rhs == rhs, eid
+            assert entry.passed == (report.colours <= rhs), eid
+    # Both the 5/3 chain alone and the 8/5 tail are reached.
+    assert 0 < triangle_free < len(cases)
+
+
+def test_a_failing_relation_keeps_its_fractional_sides():
+    entry = bounds._entry("approximation_5_3", 7, 5, "<=", 3)
+    assert not entry.passed
+    assert (entry.lhs, entry.rhs) == (Fraction(7, 3), Fraction(5, 3))
+    assert entry.to_json_dict() == {
+        "id": "approximation_5_3",
+        "relation": "<=",
+        "lhs": "7/3",
+        "rhs": "5/3",
+        "passed": False,
+    }
+
+
+def test_bound_chain_builds_one_fraction_per_call(monkeypatch):
+    # The relations are integer comparisons; only the ratio is a Fraction.
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    fig5 = fig5_lower_bound()
+    tri = random_with_perfect_matching(6, 0.5, 6)  # has a triangle
+    cases = [
+        (fig5.graph, fig5.matching, fig5.certified_colouring),
+        (tri.graph, tri.matching, optimal_colouring(tri.graph).witness),
+    ]
+    monkeypatch.setattr(bounds, "Fraction", counting_fraction)
+    for g, m, col in cases:
+        dec = decompose(g, m, col)
+        rp = collect_repetition_pairs(dec, build_cascading_sequence(dec))
+        built.clear()
+        report = verify_bound_chain(dec, rp)
+        assert len(built) <= 1
+        assert report.all_passed
 
 
 def test_bound_report_without_triangle_refinements():

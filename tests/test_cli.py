@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcolour import optimal_colouring, serialize_colouring, serialize_graph, serialize_matching
 from qcolour.cli import (
@@ -438,23 +439,76 @@ def _documents(draw) -> tuple[str, str, str]:
     return graph, matching, colouring
 
 
+def _fuzz_argvs(g: Path, m: Path, c: Path) -> list[list[str]]:
+    return [
+        ["approx", str(g)],
+        ["verify", str(g), str(c)],
+        ["analyze", str(g), str(m), str(c)],
+        ["exact", str(g), "--budget", "1000"],
+    ]
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 @given(_documents())
 def test_cli_fuzz_exits_with_a_documented_code_and_reruns_identically(documents):
     with tempfile.TemporaryDirectory() as tmp:
         g, m, c = (Path(tmp) / name for name in ("g", "m", "c"))
         for path, text in zip((g, m, c), documents):
             path.write_text(text)
-        for argv in (
-            ["approx", str(g)],
-            ["verify", str(g), str(c)],
-            ["analyze", str(g), str(m), str(c)],
-            ["exact", str(g), "--budget", "1000"],
-        ):
-            runs = []
-            for _ in range(2):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv)
-                runs.append((code, out.getvalue()))
+        for argv in _fuzz_argvs(g, m, c):
+            runs = [_run_quietly(argv) for _ in range(2)]
             assert runs[0][0] in {0, 1, 2, 3, 4}, argv
             assert runs[0] == runs[1], argv
+
+
+# Replays a JSON list of argvs from stdin through `main`, printing the exit
+# code and the SHA-256 of stdout for each.
+_REPLAY = """
+import contextlib, hashlib, io, json, sys
+from qcolour.cli import main
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_cli_fuzz_batch_is_identical_under_optimize(tmp_path):
+    # A fixed batch of fuzz documents goes through one `python -O` process:
+    # start-up would dominate a process per document.
+    argvs: list[list[str]] = []
+
+    @settings(max_examples=40, derandomize=True, database=None)
+    @given(_documents())
+    def collect(documents):
+        folder = tmp_path / str(len(argvs))
+        folder.mkdir()
+        g, m, c = (folder / name for name in ("g", "m", "c"))
+        for path, text in zip((g, m, c), documents):
+            path.write_text(text)
+        argvs.extend(_fuzz_argvs(g, m, c))
+
+    collect()
+    expected = []
+    for argv in argvs:
+        code, stdout = _run_quietly(argv)
+        expected.append(f"{code} {hashlib.sha256(stdout.encode()).hexdigest()}")
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REPLAY],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected
+    codes = {int(line.split()[0]) for line in expected}
+    assert {EXIT_OK, EXIT_USAGE, EXIT_STRUCTURAL} <= codes
