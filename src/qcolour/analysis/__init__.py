@@ -40,7 +40,7 @@ from .decompose import (
 )
 from .forests import RootedForestSeq, RootedTree, build_cascading_sequence
 from .pairs import ColourPairs, PairRecord, RepetitionPairs, collect_repetition_pairs
-from .repetition import path_repetition, repetition_content, tree_repetition_pairs
+from .repetition import repetition_content, tree_repetition_pairs
 
 __all__ = [
     "AnalysisInvariantError",
@@ -62,7 +62,6 @@ __all__ = [
     "collect_repetition_pairs",
     "decompose",
     "matched_colour_map",
-    "path_repetition",
     "repetition_content",
     "tree_repetition_pairs",
     "verify_bound_chain",

@@ -115,7 +115,7 @@ def collect_repetition_pairs(
     order of each pair is certified where the tree order is built, by
     :func:`tree_repetition_pairs`.
     """
-    if seq.graph is not dec.graph:
+    if seq.graph != dec.graph:
         raise ValueError("forest sequence and decomposition disagree on graph")
     g, col, m = dec.graph, dec.colouring, dec.matching
     mcl = matched_colour_map(col, m)

@@ -1,12 +1,11 @@
-"""Repetition structure of matching colours along paths and trees.
+"""Repetition structure of matching colours along rooted trees.
 
 A colour class that belongs to the matching contributes one colour for
 possibly many matching edges.  The functions here measure that reuse:
-``path_repetition`` walks a path whose ends are anchored at their own
-matching colours and locates two vertices that share one, while
-``tree_repetition_pairs`` performs the same extraction on a whole rooted
-tree, producing one pair per leaf.  ``repetition_content`` counts how
-often a vertex set repeats matching edges.
+``tree_repetition_pairs`` locates vertices that share a matching colour
+on a rooted tree, producing one pair per leaf (a path anchored at both
+ends is the one-leaf case), and ``repetition_content`` counts how often
+a vertex set repeats matching edges.
 """
 
 from __future__ import annotations
@@ -18,70 +17,9 @@ from .decompose import AnalysisInvariantError, matched_colour_map  # noqa: F401
 from .forests import RootedTree
 
 __all__ = [
-    "path_repetition",
     "repetition_content",
     "tree_repetition_pairs",
 ]
-
-
-def path_repetition(
-    path: tuple[int, ...],
-    col: EdgeColouring,
-    m: Matching,
-) -> tuple[int, int]:
-    """Find two path positions whose vertices share a matching colour.
-
-    ``path`` must be a simple path avoiding matching edges, with every
-    vertex matched and each end's first edge coloured like that end's
-    matching edge.  Returns indices ``(i, j)`` with ``i < j`` such that
-    the matching edges of ``path[i]`` and ``path[j]`` have the same
-    colour.
-    """
-    g = col.graph
-    if m.graph is not g:
-        raise ValueError("matching and colouring refer to different graphs")
-    if len(path) < 2:
-        raise ValueError("path must contain at least one edge")
-    if len(set(path)) != len(path):
-        raise ValueError("path vertices must be distinct")
-    for v in path:
-        if m.mate[v] is None:
-            raise ValueError(f"vertex {v} is not matched")
-    edge_ids = []
-    for a, b in zip(path, path[1:]):
-        eid = g.edge_id(a, b)
-        if eid is None:
-            raise ValueError(f"no edge between {a} and {b}")
-        if eid in m.edges.members:
-            raise ValueError("path may not use matching edges")
-        edge_ids.append(eid)
-
-    def mcl(v: int) -> int:
-        return col.colour[m.matched_edge(v)]
-
-    if col.colour[edge_ids[0]] != mcl(path[0]):
-        raise ValueError("first edge must carry the start's matching colour")
-    if col.colour[edge_ids[-1]] != mcl(path[-1]):
-        raise ValueError("last edge must carry the end's matching colour")
-
-    last = len(path) - 1
-    base = 0
-    while True:
-        a = col.colour[edge_ids[base]]
-        j = base + 1
-        while j < last and col.colour[edge_ids[j]] == a:
-            j += 1
-        if j == last and col.colour[edge_ids[last - 1]] == a:
-            # The whole remaining stretch is monochromatic; its colour is
-            # the end's matching colour, matching the start of the stretch.
-            return base, last
-        if mcl(path[j]) == a:
-            return base, j
-        if col.colour[edge_ids[j]] != mcl(path[j]):
-            raise ValueError(
-                f"vertex {path[j]} sees three colours; the colouring is not valid"
-            )
-        base = j
 
 
 def repetition_content(
@@ -117,14 +55,20 @@ def tree_repetition_pairs(
 ) -> tuple[tuple[tuple[int, int], ...], RootedTree]:
     """Extract one matching-colour pair per leaf of a rooted tree.
 
-    Requires every vertex matched, every edge at the root coloured with
-    the root's matching colour, and every leaf's parent edge coloured
-    with that leaf's matching colour.  Returns ``(pairs, ordered)``
-    where each pair ``(u, v)`` shares one matching colour, the first
-    coordinates are pairwise distinct, there is exactly one pair per
-    leaf, the pairs come sorted, and ``ordered`` is the same tree with
-    children arranged so that in post-order every pair lists ``u``
-    before ``v`` (``tree`` itself when its own order already does).
+    Requires every vertex matched, no tree edge in the matching, every
+    edge at the root coloured with the root's matching colour, and every
+    leaf's parent edge coloured with that leaf's matching colour.
+    Returns ``(pairs, ordered)`` where each pair ``(u, v)`` shares one
+    matching colour, the first coordinates are pairwise distinct, there
+    is exactly one pair per leaf, the pairs come sorted, and ``ordered``
+    is the same tree with children arranged so that in post-order every
+    pair lists ``u`` before ``v`` (``tree`` itself when its own order
+    already does).
+
+    A path whose end edges carry their end vertices' matching colours is
+    the one-leaf case: ``RootedTree.build(g, path[0], {path[i]: path[i - 1]})``
+    over ``i >= 1`` roots it at one end, and its single pair is two path
+    vertices that share a matching colour.
 
     The pairs are found in one walk over ``tree.postorder``.  Children
     come before their parents, so when the walk reaches a vertex that
@@ -138,7 +82,7 @@ def tree_repetition_pairs(
     break a guarantee above.
     """
     g = tree.graph
-    if col.graph is not g or m.graph is not g:
+    if col.graph != g or m.graph != g:
         raise ValueError("tree, colouring and matching refer to different graphs")
     verts = tree.vertices
     if len(verts) < 2:
@@ -148,6 +92,8 @@ def tree_repetition_pairs(
         eid = m.matched_edge(v)
         if eid is None:
             raise ValueError(f"vertex {v} is not matched")
+        if eid == tree.parent_edge.get(v):
+            raise ValueError(f"tree edge at vertex {v} is a matching edge")
         mcl[v] = col.colour[eid]
 
     root = tree.root

@@ -129,7 +129,7 @@ def components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
     the output is independent of edge order.  Both come out of scans in id
     order after one union-find pass over the kept edges; nothing is sorted.
     """
-    if drop is not None and drop.graph is not g and drop.graph != g:
+    if drop is not None and drop.graph != g:
         raise ValueError("edge subset belongs to a different graph")
     kept = range(g.m) if drop is None else [e for e in range(g.m) if e not in drop.members]
     edges = g.edges

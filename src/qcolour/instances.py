@@ -11,8 +11,8 @@ The module provides three sources of test instances:
   :func:`random_triangle_free_with_pm` — seeded random families that
   always contain a perfect matching (the triangle-free family is
   bipartite by construction).
-* :func:`named` — small standard graphs addressed by name, handy on the
-  command line.
+* :func:`named` — small standard graphs addressed by a name such as
+  ``cycle_4`` or ``petersen``.
 
 Generators are pure functions of their parameters: the same arguments
 always produce the identical instance.

@@ -29,7 +29,6 @@ from qcolour.analysis import (
     collect_repetition_pairs,
     decompose,
     matched_colour_map,
-    path_repetition,
     tree_repetition_pairs,
 )
 from qcolour.exact import (
@@ -253,15 +252,11 @@ def test_criterion_7_structural_constructions(corpus):
     for _ in range(300):
 
         def path_fixture():
+            # A path anchored at both ends is a one-leaf tree: one pair.
             tree, col, m = random_pair_tree(rng, shape="path")
-            path = tuple(reversed(tree.postorder))
-            i, j = path_repetition(path, col, m)
-            mcl = matched_colour_map(col, m)
-            assert 0 <= i < j < len(path)
-            assert mcl[path[i]] == mcl[path[j]]
-            for a, b in zip(path[i:j], path[i + 1 : j + 1]):
-                eid = next(e for y, e in col.graph.adjacency[a] if y == b)
-                assert col.colour[eid] == mcl[path[i]]
+            pairs, ordered = tree_repetition_pairs(tree, col, m)
+            assert len(pairs) == 1
+            check_pair_properties(ordered, pairs, col, m)
 
         run(path_fixture)
 

@@ -31,7 +31,6 @@ from qcolour.analysis import (
     collect_repetition_pairs,
     decompose,
     matched_colour_map,
-    path_repetition,
     repetition_content,
     tree_repetition_pairs,
     verify_bound_chain,
@@ -109,7 +108,7 @@ def test_matched_colour_map_reports_exposed_vertices():
     assert matched_colour_map(col, m) == (0, 0, None)
 
 
-# ---------------------------------------------------------- path repetition
+# ------------------------------------------------------- one-leaf trees (paths)
 
 
 def _pendant_path(k: int, edge_colours, mate_colours):
@@ -122,64 +121,70 @@ def _pendant_path(k: int, edge_colours, mate_colours):
     return g, m, col
 
 
-def test_path_repetition_single_edge():
-    _, m, col = _pendant_path(2, ["a"], ["a", "a"])
-    assert path_repetition((0, 1), col, m) == (0, 1)
+def _path_tree(g: Graph, path: tuple[int, ...]) -> RootedTree:
+    """``path`` as a one-leaf tree rooted at its first vertex."""
+    return RootedTree.build(g, path[0], dict(zip(path[1:], path)))
 
 
-def test_path_repetition_stops_at_interior_match():
-    # Edge colours A,B; the middle vertex's matching colour is A, so the
-    # very first stretch already repeats at position 1.
-    _, m, col = _pendant_path(3, ["A", "B"], ["A", "A", "B"])
-    assert path_repetition((0, 1, 2), col, m) == (0, 1)
+@pytest.mark.parametrize(
+    "k, edge_colours, mate_colours, pair",
+    [
+        (2, ["a"], ["a", "a"], (1, 0)),
+        # The middle vertex's matching colour is A, so the first stretch
+        # already repeats at vertex 1.
+        (3, ["A", "B"], ["A", "A", "B"], (1, 0)),
+        # The middle vertex carries B: the repetition is the second stretch.
+        (3, ["A", "B"], ["A", "B", "B"], (2, 1)),
+    ],
+    ids=["single_edge", "stops_at_interior_match", "advances_past_interior"],
+)
+def test_one_leaf_path_pairs(k, edge_colours, mate_colours, pair):
+    g, m, col = _pendant_path(k, edge_colours, mate_colours)
+    pairs, ordered = tree_repetition_pairs(_path_tree(g, tuple(range(k))), col, m)
+    assert pairs == (pair,)
+    check_pair_properties(ordered, pairs, col, m)
 
 
-def test_path_repetition_advances_past_interior():
-    # Same shape but the middle vertex carries B: the repetition is the
-    # second stretch, between positions 1 and 2.
-    _, m, col = _pendant_path(3, ["A", "B"], ["A", "B", "B"])
-    assert path_repetition((0, 1, 2), col, m) == (1, 2)
-
-
-def test_path_repetition_detects_three_colour_vertex():
-    _, m, col = _pendant_path(3, ["A", "C"], ["A", "B", "C"])
+def test_one_leaf_path_rejects_a_three_colour_vertex():
+    g, m, col = _pendant_path(3, ["A", "C"], ["A", "B", "C"])
     with pytest.raises(ValueError, match="sees three colours"):
-        path_repetition((0, 1, 2), col, m)
+        tree_repetition_pairs(_path_tree(g, (0, 1, 2)), col, m)
 
 
-def test_path_repetition_input_validation():
+def test_one_leaf_path_input_validation():
     g, m, col = _pendant_path(3, ["A", "A"], ["A", "A", "A"])
     with pytest.raises(ValueError, match="at least one edge"):
-        path_repetition((0,), col, m)
-    with pytest.raises(ValueError, match="distinct"):
-        path_repetition((0, 1, 0), col, m)
-    with pytest.raises(ValueError, match="no edge between"):
-        path_repetition((0, 2), col, m)
-    with pytest.raises(ValueError, match="may not use matching edges"):
-        path_repetition((0, 3), col, m)
+        tree_repetition_pairs(_path_tree(g, (0,)), col, m)
+    with pytest.raises(ValueError, match="reached twice"):
+        _path_tree(g, (0, 1, 0))
+    with pytest.raises(ValueError, match="no edge joins"):
+        _path_tree(g, (0, 2))
     bad = EdgeColouring.from_values(g, ["X", "A", "A", "A", "A"])
-    with pytest.raises(ValueError, match="first edge"):
-        path_repetition((0, 1, 2), bad, m)
+    with pytest.raises(ValueError, match="root"):
+        tree_repetition_pairs(_path_tree(g, (0, 1, 2)), bad, m)
     bad = EdgeColouring.from_values(g, ["A", "X", "A", "A", "A"])
-    with pytest.raises(ValueError, match="last edge"):
-        path_repetition((0, 1, 2), bad, m)
+    with pytest.raises(ValueError, match="leaf"):
+        tree_repetition_pairs(_path_tree(g, (0, 1, 2)), bad, m)
 
 
-def test_path_repetition_on_random_fixtures():
+def test_pairs_reject_a_tree_edge_in_the_matching():
+    g, m, col = _pendant_path(3, ["A", "A"], ["A", "A", "A"])
+    # Edge (0, 3) is the matching edge of vertex 0.
+    with pytest.raises(ValueError, match="matching edge"):
+        tree_repetition_pairs(_path_tree(g, (0, 3)), col, m)
+    # A matching edge deeper in a larger tree is rejected too.
+    tree = RootedTree.build(g, 1, {0: 1, 2: 1, 5: 2})
+    with pytest.raises(ValueError, match="tree edge at vertex 5 is a matching edge"):
+        tree_repetition_pairs(tree, col, m)
+
+
+def test_pairs_on_random_paths_give_one_pair():
     rng = random.Random(424)
-    mcl_of = None
     for _ in range(120):
         tree, col, m = random_pair_tree(rng, shape="path")
-        seq = list(tree.postorder)  # path shape: leaf .. root
-        path = tuple(reversed(seq))
-        i, j = path_repetition(path, col, m)
-        mcl_of = matched_colour_map(col, m)
-        assert 0 <= i < j < len(path)
-        assert mcl_of[path[i]] == mcl_of[path[j]]
-        for a, b in zip(path[i:j], path[i + 1 : j + 1]):
-            eid = next(e for y, e in col.graph.adjacency[a] if y == b)
-            assert col.colour[eid] == mcl_of[path[i]]
-    assert mcl_of is not None
+        pairs, ordered = tree_repetition_pairs(tree, col, m)
+        assert len(pairs) == 1
+        check_pair_properties(ordered, pairs, col, m)
 
 
 # -------------------------------------------------------- repetition content
@@ -557,6 +562,22 @@ def test_bound_reports_match_the_pinned_digest():
     # The corpus must reach the high-colour branch and its matched pairs.
     assert high_and_delta > 0
     assert digest.hexdigest() == ANALYSIS_DIGEST
+
+
+def test_analysis_accepts_equal_graphs_from_separate_loads():
+    # Every stage asks for equal graphs, not the same graph object.
+    a, b, c = fig5_lower_bound(), fig5_lower_bound(), fig5_lower_bound()
+    assert a.graph is not b.graph and a.graph is not c.graph
+    mixed = analyse(a.graph, b.matching, c.certified_colouring).to_json_dict()
+    one = analyse(a.graph, a.matching, a.certified_colouring).to_json_dict()
+    assert json.dumps(mixed) == json.dumps(one)
+    dec_a = decompose(a.graph, a.matching, a.certified_colouring)
+    dec_b = decompose(b.graph, b.matching, b.certified_colouring)
+    seq_a = build_cascading_sequence(dec_a)
+    assert (
+        collect_repetition_pairs(dec_b, seq_a).records
+        == collect_repetition_pairs(dec_a, seq_a).records
+    )
 
 
 def _closed_form_rhs(report) -> dict[str, Fraction]:
