@@ -2,10 +2,10 @@
 
 A colour class that belongs to the matching contributes one colour for
 possibly many matching edges.  The functions here measure that reuse:
-``tree_repetition_pairs`` locates vertices that share a matching colour
-on a rooted tree, producing one pair per leaf (a path anchored at both
-ends is the one-leaf case), and ``repetition_content`` counts how often
-a vertex set repeats matching edges.
+``tree_repetition_pairs`` pairs each leaf of a rooted tree with the first
+vertex of its matching colour on one memoised route (a path anchored at
+both ends is the one-leaf case), and ``repetition_content`` counts how
+often a vertex set repeats matching edges.
 """
 
 from __future__ import annotations
@@ -74,8 +74,11 @@ def tree_repetition_pairs(
     come before their parents, so when the walk reaches a vertex that
     sees two colours, everything still below it sees one; the step there
     pairs leaves below it and deletes the branches they hang from.  The
-    tree left after the walk is monochromatic, and each of its leaves
-    pairs upward to the nearest ancestor of the tree colour.
+    tree left after the walk is monochromatic.  Every leaf pairs with the
+    first vertex of its matching colour on its route, which starts at its
+    parent and climbs, except on the spine of the current step (the path
+    from a two-colour vertex down to its largest leaf), which it follows
+    down.  Routes are memoised per vertex and colour, so the walk is linear.
 
     Raises ``ValueError`` when a precondition fails or some vertex sees
     three colours, and :class:`AnalysisInvariantError` when the pairs
@@ -97,24 +100,26 @@ def tree_repetition_pairs(
         mcl[v] = col.colour[eid]
 
     root = tree.root
+    leaves = tree.leaves()
     for child in tree.children.get(root, ()):
         if col.colour[tree.parent_edge[child]] != mcl[root]:
             raise ValueError(
                 "every edge at the root must carry the root's matching colour"
             )
-    for leaf in tree.leaves():
+    for leaf in leaves:
         if col.colour[tree.parent_edge[leaf]] != mcl[leaf]:
             raise ValueError(
                 f"the edge at leaf {leaf} must carry the leaf's matching colour"
             )
 
-    # Alive children per vertex; subtrees are deleted bottom-up as pairs are found.
+    # The alive tree: its keys are the alive vertices, each mapped to its
+    # alive children in order.  Subtrees are deleted as pairs are found.
     parent = tree.parent
-    children: dict[int, list[int]] = {v: list(tree.children.get(v, ())) for v in verts}
+    children = {v: dict.fromkeys(tree.children.get(v, ())) for v in verts}
     ecol = {v: col.colour[eid] for v, eid in tree.parent_edge.items()}
-    alive = set(verts)
     pairs: list[tuple[int, int]] = []
     spine_last: dict[int, int] = {}
+    memo: dict[tuple[int, int], int] = {}
 
     def colours_at(v: int) -> set[int]:
         seen = {ecol[c] for c in children[v]}
@@ -132,23 +137,32 @@ def tree_repetition_pairs(
         return out
 
     def delete_subtree(top: int) -> None:
-        alive.difference_update(below(top))
-        alive.discard(top)
-        children[parent[top]].remove(top)
+        del children[parent[top]][top]
+        for x in [top, *below(top)]:
+            del children[x]
 
-    def mono_pair(u: int, a: int) -> tuple[int, int]:
-        # Nearest strict ancestor of u whose matching edge carries colour a.
+    def partner(u: int, a: int) -> tuple[int, int]:
+        # The first vertex with matching colour a on u's route.  Memoising
+        # is sound: a vertex a route passes through is deleted by the same
+        # step, left a leaf by it (the spine top, whose spine_last entry goes
+        # stale), or belongs to the final remainder, so its route never
+        # changes.  A leaf only ever starts a route: hence parent[u].
+        passed: list[int] = []
         x = parent[u]
-        while mcl[x] != a:
-            x = parent[x]
-        return (u, x)
+        while mcl[x] != a and (x, a) not in memo:
+            passed.append(x)
+            x = spine_last[x] if x in spine_last else parent[x]
+        found = memo.get((x, a), x)
+        for y in passed:
+            memo[(y, a)] = found
+        return (u, found)
 
     for v in verts:
         if len(colours_at(v)) > 2:
             raise ValueError(f"vertex {v} sees three tree colours")
 
     for v in tree.postorder:
-        while v in alive:
+        while v in children:
             seen = colours_at(v)
             if len(seen) < 2:
                 break
@@ -160,17 +174,14 @@ def tree_repetition_pairs(
                 )
             (b,) = seen - {a}
             a_children = [c for c in children[v] if ecol[c] == a]
-            b_children = [c for c in children[v] if ecol[c] == b]
 
             if a_children:
                 # Branches below v coloured a are monochromatic (the walk has
                 # passed them), so each of their leaves pairs to an ancestor
                 # with matching colour a; v itself qualifies.
                 for c in a_children:
-                    for u in [c, *below(c)]:
-                        if not children[u]:
-                            pairs.append(mono_pair(u, a))
-                if b_children:
+                    pairs.extend(partner(u, a) for u in [c, *below(c)] if not children[u])
+                if len(a_children) < len(children[v]):
                     for c in a_children:
                         delete_subtree(c)
                 else:
@@ -185,41 +196,26 @@ def tree_repetition_pairs(
             # No child edge below v carries a: the second colour comes from
             # below via b, and the parent edge carries a.  The walk has
             # passed the branches below, so they and their leaves' matching
-            # edges are all coloured b.
+            # edges are all coloured b.  The spine runs from v to the largest
+            # b-leaf w.  The step deletes it below v and leaves v a leaf, so
+            # no later spine gives a vertex here a second successor.
             sub = below(v)
-            leaves_b = [x for x in sub if not children[x]]
-            w = max(leaves_b)
-            spine = [w]
-            while spine[-1] != v:
-                spine.append(parent[spine[-1]])
-            spine.reverse()  # v ... w
-            # The step deletes the spine below v and leaves v a leaf, so no
-            # later spine gives a vertex here a second successor.
-            spine_last.update(zip(spine, spine[1:]))
-            on_spine = {x: i for i, x in enumerate(spine)}
-            for u in leaves_b:
-                if u == w:
-                    continue
-                # Walk from u towards v until the spine, then down to w; the
-                # first vertex after u with matching colour b is the partner.
-                up = [u]
-                while up[-1] not in on_spine:
-                    up.append(parent[up[-1]])
-                walk = up[1:] + spine[on_spine[up[-1]] + 1 :]
-                partner = next(x for x in walk if mcl[x] == b)
-                pairs.append((u, partner))
-            for c in list(children[v]):
-                delete_subtree(c)
+            w = max(x for x in sub if not children[x])
+            x = w
+            while x != v:
+                spine_last[parent[x]] = x
+                x = parent[x]
+            pairs.extend(partner(u, b) for u in sub if not children[u] and u != w)
+            for x in sub:
+                del children[x]
+            children[v].clear()
 
     if children[root]:
-        # Monochromatic remainder: every leaf pairs upward to the nearest
+        # Monochromatic remainder: every leaf pairs with the nearest
         # ancestor carrying the (single) tree colour.
-        a = mcl[root]
-        for u in below(root):
-            if not children[u]:
-                pairs.append(mono_pair(u, a))
+        pairs.extend(partner(u, mcl[root]) for u in below(root) if not children[u])
 
-    if len(pairs) != len(tree.leaves()):
+    if len(pairs) != len(leaves):
         raise AnalysisInvariantError("one pair per original leaf")
     ordered = tree.reordered(spine_last)
     if not all(ordered.preceq(u, x) for u, x in pairs):

@@ -284,11 +284,18 @@ def oracle_optimal(g: Graph, q: int = 2) -> int:
     return best
 
 
-def anti_ramsey_star(g: Graph, t: int, budget: int | None = None) -> int:
-    """Smallest palette size that forces a rainbow t-star in every surjective
-    colouring, via the exact optimum for budget t-1 plus one."""
+def _require_star(g: Graph, t: int) -> None:
     if t < 2:
         raise ValueError("star size t must be at least 2")
+    if all(g.degree(v) < t for v in range(g.n)):
+        raise PatternAbsentError(f"pattern absent: no vertex has degree >= {t}")
+
+
+def anti_ramsey_star(g: Graph, t: int, budget: int | None = None) -> int:
+    """Smallest palette size that forces a rainbow t-star in every surjective
+    colouring, via the exact optimum for budget t-1 plus one.  Raises
+    :class:`PatternAbsentError` when no vertex has degree t."""
+    _require_star(g, t)
     res = optimal_colouring(g, t - 1, budget)
     if not res.complete:
         raise SearchIncompleteError(
@@ -304,14 +311,11 @@ def direct_anti_ramsey_star(g: Graph, t: int) -> int:
     distinct colours.  The largest rainbow-free block count plus one is the
     answer.  Refuses graphs with more than ``DIRECT_EDGE_LIMIT`` edges, and
     graphs with no vertex of degree t (no copy of the star to force)."""
-    if t < 2:
-        raise ValueError("star size t must be at least 2")
+    _require_star(g, t)
     if g.m > DIRECT_EDGE_LIMIT:
         raise ValueError(
             f"direct enumeration limited to {DIRECT_EDGE_LIMIT} edges, graph has {g.m}"
         )
-    if all(g.degree(v) < t for v in range(g.n)):
-        raise PatternAbsentError(f"pattern absent: no vertex has degree >= {t}")
     m = g.m
     assign = [0] * m
     best = 0

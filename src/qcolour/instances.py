@@ -144,7 +144,7 @@ def fig5_lower_bound() -> CertifiedInstance:
 def _certify(g: Graph, generator: str, seed: int) -> CertifiedInstance:
     col, m, _ = matching_based_colouring(g)
     if not is_perfect(g, m):
-        raise AssertionError("generator promised a perfect matching")
+        raise RuntimeError("generator promised a perfect matching")
     return CertifiedInstance(
         graph=g,
         matching=m,

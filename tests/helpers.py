@@ -244,6 +244,88 @@ def random_pair_tree(
     return tree, col, m
 
 
+def caterpillar_pair_tree(spine: int) -> tuple[RootedTree, EdgeColouring, Matching]:
+    """A caterpillar meeting the pairing rules, with ``spine`` spine vertices.
+
+    Root 0 has matching colour A and one child, vertex 1, joined by an
+    A edge; vertex 1 also has matching colour A.  Below it hangs a path of
+    B edges through the spine vertices ``2 .. spine + 1``, and spine
+    vertex ``s`` carries one B leaf ``s + spine``.  Every tree vertex has
+    a pendant matching edge; the leaves' carry B, the spine vertices' carry
+    pairwise distinct colours other than A and B.  So vertex 1 is the one
+    vertex that sees two colours, every leaf pairs below it, and the
+    largest leaf ends the spine of that step.
+    """
+    t = 2 * spine + 2
+    parent = {1: 0}
+    for s in range(2, spine + 2):
+        parent[s] = s - 1
+        parent[s + spine] = s
+    tree_edges = [(parent[v], v) for v in range(1, t)]
+    g = Graph(2 * t, tuple(tree_edges) + tuple((v, t + v) for v in range(t)))
+    m = Matching.from_edge_ids(g, range(t - 1, 2 * t - 1))
+    a, b = "A", "B"
+    edge_colours = [a] + [b] * (t - 2)
+    mate_colours = [a, a] + [("spine", s) for s in range(spine)] + [b] * spine
+    col = EdgeColouring.from_values(g, edge_colours + mate_colours)
+    return RootedTree.build(g, 0, parent), col, m
+
+
+def random_valid_colouring(g: Graph, rng: random.Random, moves: int) -> EdgeColouring:
+    """A random valid q = 2 colouring of ``g`` with connected colour classes.
+
+    Starts from one colour on every edge and takes ``moves`` random
+    recolourings: an edge gets a colour already at one of its ends, or a
+    fresh one, and the move is kept only if both ends still see at most
+    two colours.  Finally each class is split into its connected pieces,
+    which keeps the colouring valid and never lowers the colour count.
+    """
+    colour = [0] * g.m
+    seen: list[dict[int, int]] = [{} for _ in range(g.n)]  # colour -> edges at x
+    fresh = itertools.count(1)
+
+    def shift(x: int, c: int, delta: int) -> None:
+        seen[x][c] = seen[x].get(c, 0) + delta
+        if not seen[x][c]:
+            del seen[x][c]
+
+    for u, v in g.edges:
+        shift(u, 0, 1)
+        shift(v, 0, 1)
+    for _ in range(moves):
+        eid = rng.randrange(g.m)
+        u, v = g.edges[eid]
+        old = colour[eid]
+        near = sorted((seen[u].keys() | seen[v].keys()) - {old})
+        new = rng.choice(near) if near and rng.random() < 0.7 else next(fresh)
+        for x in (u, v):
+            shift(x, old, -1)
+            shift(x, new, 1)
+        if len(seen[u]) > 2 or len(seen[v]) > 2:
+            for x in (u, v):
+                shift(x, new, -1)
+                shift(x, old, 1)
+        else:
+            colour[eid] = new
+
+    # Split each class into its connected pieces: union-find over
+    # (vertex, colour) nodes, one union per edge.
+    up: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(x: tuple[int, int]) -> tuple[int, int]:
+        while up.get(x, x) != x:
+            x = up[x]
+        return x
+
+    for eid, (u, v) in enumerate(g.edges):
+        a, b = find((u, colour[eid])), find((v, colour[eid]))
+        if a != b:
+            up[a] = b
+    return EdgeColouring.from_values(
+        g, [find((u, colour[eid])) for eid, (u, _) in enumerate(g.edges)]
+    )
+
+
 def root_climb_path(tree: RootedTree, u: int, v: int) -> tuple[int, ...]:
     """The u-v path of ``tree`` by listing every ancestor of ``u`` up to the
     root, then climbing from ``v`` to the first of them.  Costs the depth of

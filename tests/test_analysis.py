@@ -44,9 +44,11 @@ from qcolour.instances import (
     random_with_perfect_matching,
 )
 from helpers import (
+    caterpillar_pair_tree,
     check_order_against_closure,
     check_pair_properties,
     random_pair_tree,
+    random_valid_colouring,
     root_climb_path,
 )
 
@@ -262,6 +264,19 @@ def test_pairs_on_random_trees_satisfy_all_properties():
         check_pair_properties(ordered, pairs, col, m)
         total += len(pairs)
     assert total > 400  # the generator must actually exercise the machinery
+
+
+@pytest.mark.parametrize("spine", [7, 2000])
+def test_pairs_on_the_caterpillar_have_a_closed_form(spine):
+    # Random trees of at most 13 vertices never build a long spine in one
+    # step.  Here vertex 1 sees A above and B below, so one step pairs every
+    # B-leaf but the largest with that largest one (the end of the spine),
+    # and vertex 1, left a leaf, pairs with the root.
+    tree, col, m = caterpillar_pair_tree(spine)
+    pairs, ordered = tree_repetition_pairs(tree, col, m)
+    largest = 2 * spine + 1
+    assert pairs == ((1, 0), *((leaf, largest) for leaf in range(spine + 2, largest)))
+    check_pair_properties(ordered, pairs, col, m)
 
 
 def _assert_paths_match_root_climb(tree):
@@ -694,6 +709,28 @@ def test_bound_chain_passes_on_optimal_witnesses():
             assert Fraction(res.opt, inst.matching.size + inst.h) <= bound
             checked += 1
     assert checked >= 20
+
+
+def test_random_valid_colourings_are_unanchored_or_pass_every_relation():
+    # Every valid colouring has at most OPT colours, so every relation must
+    # hold for it: each draw either has a component of G - M carrying only
+    # matching colours, or passes the whole chain with no invariant error.
+    rng = random.Random(1910)
+    analysed = unanchored = paired = 0
+    for i in range(300):
+        gen = random_with_perfect_matching if i % 2 == 0 else random_triangle_free_with_pm
+        n = rng.randrange(8, 41, 2)
+        inst = gen(n, 3 / n, rng.randrange(10**6))
+        col = random_valid_colouring(inst.graph, rng, moves=8 * inst.graph.m)
+        try:
+            report = analyse(inst.graph, inst.matching, col)
+        except UnanchoredComponentError:
+            unanchored += 1
+            continue
+        assert report.all_passed
+        analysed += 1
+        paired += report.paired_colours > 0
+    assert (analysed, unanchored, paired) == (171, 129, 119)
 
 
 def test_bound_chain_on_algorithm_output_is_degenerate_but_sound():

@@ -283,6 +283,14 @@ def test_direct_anti_ramsey_requires_the_pattern():
         direct_anti_ramsey_star(named("petersen"), 3)
 
 
+def test_anti_ramsey_star_requires_the_pattern():
+    # Without a vertex of degree t no colouring can force a t-star, so the
+    # budgeted optimum plus one would be a meaningless threshold.
+    for name, t in [("path_4", 3), ("petersen", 4)]:
+        with pytest.raises(PatternAbsentError, match="no vertex has degree"):
+            anti_ramsey_star(named(name), t)
+
+
 def test_anti_ramsey_budget_exhaustion_raises():
     with pytest.raises(SearchIncompleteError):
         anti_ramsey_star(named("complete_4"), 3, budget=2)
