@@ -102,7 +102,7 @@ def _class_is_connected(g: Graph, eids: list[int]) -> bool:
             if eid in allowed and y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return seen == verts
+    return len(seen) == len(verts)
 
 
 def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:

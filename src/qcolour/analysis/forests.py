@@ -83,10 +83,12 @@ class RootedTree:
     def reordered(self, last: dict[int, int]) -> RootedTree:
         """This tree with child ``last[v]`` moved to the end of the children
         of ``v``, for each ``v`` in ``last``; ``self`` when nothing moves."""
+        if all(self.children.get(v, ())[-1:] == (t,) for v, t in last.items()):
+            return self
         kids = dict(self.children)
         for v, t in last.items():
             kids[v] = tuple(c for c in kids[v] if c != t) + (t,)
-        return self if kids == self.children else RootedTree(self.graph, self.root, kids)
+        return RootedTree(self.graph, self.root, kids)
 
     @property
     def vertices(self) -> frozenset[int]:

@@ -117,7 +117,7 @@ def collect_repetition_pairs(
     """
     if seq.graph != dec.graph:
         raise ValueError("forest sequence and decomposition disagree on graph")
-    g, col, m = dec.graph, dec.colouring, dec.matching
+    col, m = dec.colouring, dec.matching
     mcl = matched_colour_map(col, m)
 
     records: list[PairRecord] = []
@@ -132,7 +132,9 @@ def collect_repetition_pairs(
                 raise AnalysisInvariantError("pair first coordinates must be globally distinct")
             firsts_seen.add(u)
             path = tree.path(u, v)
-            if any(col.colour[g.edge_id(x, y)] != colour for x, y in zip(path, path[1:])):
+            # The path's edges are the parent edges of its vertices but the topmost.
+            top = max(path, key=tree.index.__getitem__)
+            if any(col.colour[tree.parent_edge[x]] != colour for x in path if x != top):
                 raise AnalysisInvariantError("pair paths must be monochromatic")
             if any(mcl[x] == colour for x in path[1:-1]):
                 raise AnalysisInvariantError("interior vertices must not repeat the pair colour")

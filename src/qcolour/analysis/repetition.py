@@ -36,12 +36,10 @@ def repetition_content(
     """
     if not vertices:
         raise ValueError("vertex set must be nonempty")
-    ids = set()
-    for v in vertices:
-        eid = m.matched_edge(v)
-        if eid is None:
-            raise ValueError(f"vertex {v} is not matched")
-        ids.add(eid)
+    ids = {m.mate_edge[v] for v in vertices}
+    if None in ids:
+        v = next(v for v in vertices if m.mate_edge[v] is None)
+        raise ValueError(f"vertex {v} is not matched")
     colours = {col.colour[eid] for eid in ids}
     if len(colours) != 1:
         raise ValueError("matching edges of the set are not monochromatic")
@@ -92,7 +90,7 @@ def tree_repetition_pairs(
         raise ValueError("tree must contain at least one edge")
     mcl: dict[int, int] = {}
     for v in verts:
-        eid = m.matched_edge(v)
+        eid = m.mate_edge[v]
         if eid is None:
             raise ValueError(f"vertex {v} is not matched")
         if eid == tree.parent_edge.get(v):

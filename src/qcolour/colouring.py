@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, components, read_records
+from .graph import Graph, bulk_records, components, read_records
 from .matching import Matching, maximum_matching
 
 
@@ -49,14 +49,8 @@ class EdgeColouring:
 
     @classmethod
     def from_values(cls, g: Graph, values) -> EdgeColouring:
-        values = list(values)
         relabel: dict = {}
-        out: list[int] = []
-        for v in values:
-            if v not in relabel:
-                relabel[v] = len(relabel)
-            out.append(relabel[v])
-        return cls(g, tuple(out))
+        return cls(g, tuple([relabel.setdefault(v, len(relabel)) for v in values]))
 
     def vertex_colours(self, v: int) -> frozenset[int]:
         return frozenset(self.colour[eid] for _, eid in self.graph.adjacency[v])
@@ -97,19 +91,17 @@ def validate(g: Graph, col: EdgeColouring, q: int) -> ValidityReport:
         raise ValueError("q must be a positive integer")
     if col.graph != g:
         raise ValueError("colouring belongs to a different graph")
-    counts: list[int] = []
-    first: tuple[int, tuple[int, ...]] | None = None
-    for v in range(g.n):
-        seen = col.vertex_colours(v)
-        counts.append(len(seen))
-        if len(seen) > q and first is None:
-            first = (v, tuple(sorted(seen)))
+    colour = col.colour
+    counts = tuple([len({colour[eid] for _, eid in row}) for row in g.adjacency])
+    first = next((v for v, count in enumerate(counts) if count > q), None)
     return ValidityReport(
         valid=first is None,
         q=q,
         colours_used=col.num_colours,
-        vertex_colour_counts=tuple(counts),
-        first_violation=first,
+        vertex_colour_counts=counts,
+        first_violation=None
+        if first is None
+        else (first, tuple(sorted(col.vertex_colours(first)))),
     )
 
 
@@ -143,6 +135,11 @@ def parse_colouring(text: str, g: Graph) -> EdgeColouring:
     (either endpoint order).  Colours are arbitrary nonnegative integers and
     are canonicalized on load.
     """
+    bulk = bulk_records(text, 3)
+    if bulk is not None and [record[:2] for record in bulk] == list(g.edges):
+        colours = [c for _, _, c in bulk]
+        if min(colours, default=0) >= 0:
+            return EdgeColouring.from_values(g, colours)
     values: list[int] = []
     edges = g.edges
     for lineno, (u, v, c) in read_records(

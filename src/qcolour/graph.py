@@ -166,11 +166,8 @@ def components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are pairwise adjacent."""
-    neighbours = [set(v for v, _ in g.adjacency[u]) for u in range(g.n)]
-    for u, v in g.edges:
-        if neighbours[u] & neighbours[v]:
-            return False
-    return True
+    neighbours = [{v for v, _ in row} for row in g.adjacency]
+    return all(neighbours[u].isdisjoint(neighbours[v]) for u, v in g.edges)
 
 
 def read_records(
@@ -187,6 +184,10 @@ def read_records(
     whitespace-separated integers; otherwise ``error`` is raised as
     ``line N: <shape>, got '<line>'``, with ``first_shape`` in place of
     ``shape`` for the first record when it is a header.
+
+    The parsers read a document this way only when :func:`bulk_records`
+    rejects it or its records fail a check, so this path alone words
+    every error and names its line.
     """
     expected = first_shape or shape
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -203,6 +204,26 @@ def read_records(
         expected = shape
 
 
+def bulk_records(text: str, width: int) -> list[tuple[int, ...]] | None:
+    """The records :func:`read_records` yields, without line numbers, read
+    in bulk; ``None`` unless the document has no ``#`` and every nonblank
+    line holds ``width`` integers.
+
+    Every line boundary is whitespace to ``str.split``, so one split of the
+    whole text gives the fields of all lines in order, and one ``int`` pass
+    reads them.  On ``None``, or when a record fails a parser's check, the
+    parser reads the document again by :func:`read_records`, which raises
+    the error naming its line.
+    """
+    if "#" in text or not set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
+        return None
+    values = map(int, text.split())
+    try:
+        return list(zip(*[values] * width))
+    except ValueError:
+        return None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
@@ -211,6 +232,12 @@ def parse_graph(text: str) -> Graph:
     or a vertex count above :data:`MAX_VERTICES`, raises
     :class:`GraphFormatError` naming the offending line.
     """
+    bulk = bulk_records(text, 2)
+    if bulk and 0 <= bulk[0][0] <= MAX_VERTICES and bulk[0][1] == len(bulk) - 1:
+        try:
+            return Graph(bulk[0][0], tuple(bulk[1:]))
+        except InvalidEdgeError:
+            pass  # read again line by line to name the edge's line
     records = read_records(
         text, 2, GraphFormatError, "edge must be 'u v'", "header must be 'n m'"
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import EdgeSubset, Graph, read_records
+from .graph import EdgeSubset, Graph, bulk_records, read_records
 
 
 class MatchingFormatError(ValueError):
@@ -16,24 +16,29 @@ class MatchingFormatError(ValueError):
 class Matching:
     """A set of pairwise vertex-disjoint edges.
 
-    ``mate[v]`` is the partner of ``v`` or ``None`` when ``v`` is exposed;
-    it is derived from the edge set at construction, so the two views can
-    never disagree.
+    Two per-vertex views are derived from the edge set at construction, so
+    they can never disagree with it: ``mate[v]`` is the partner of ``v``
+    and ``mate_edge[v]`` the id of the matching edge at ``v``, both
+    ``None`` when ``v`` is exposed.
     """
 
     edges: EdgeSubset
     mate: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    mate_edge: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.edges.graph
         mate: list[int | None] = [None] * g.n
+        mate_edge: list[int | None] = [None] * g.n
         for eid in sorted(self.edges.members):
             u, v = g.edges[eid]
             if mate[u] is not None or mate[v] is not None:
                 raise ValueError(f"edge {eid} shares a vertex with another matching edge")
             mate[u] = v
             mate[v] = u
+            mate_edge[u] = mate_edge[v] = eid
         object.__setattr__(self, "mate", tuple(mate))
+        object.__setattr__(self, "mate_edge", tuple(mate_edge))
 
     @classmethod
     def from_edge_ids(cls, g: Graph, ids) -> Matching:
@@ -49,8 +54,7 @@ class Matching:
 
     def matched_edge(self, v: int) -> int | None:
         """Edge id of the matching edge at ``v``, if any."""
-        mate = self.mate[v]
-        return None if mate is None else self.graph.edge_id(v, mate)
+        return self.mate_edge[v]
 
 
 def _searcher(g: Graph, match: list[int]):
@@ -194,6 +198,12 @@ def is_perfect(g: Graph, m: Matching) -> bool:
 
 def parse_matching(text: str, g: Graph) -> Matching:
     """Parse one ``u v`` line per matching edge, validated against ``g``."""
+    bulk = bulk_records(text, 2)
+    if bulk is not None:
+        bulk_ids = [g.edge_id(u, v) for u, v in bulk]
+        # Distinct endpoints rule out both a repeated edge and a shared vertex.
+        if None not in bulk_ids and len({x for edge in bulk for x in edge}) == 2 * len(bulk):
+            return Matching.from_edge_ids(g, bulk_ids)
     ids: set[int] = set()
     covered = bytearray(g.n)
     for lineno, (u, v) in read_records(

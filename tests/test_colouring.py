@@ -58,6 +58,37 @@ def test_validate_accepts_within_budget():
     assert report.to_json_dict()["valid"] is True
 
 
+def _reference_report(g: Graph, col: EdgeColouring, q: int):
+    """Per-vertex colour counts from a scan of the edge list, and the
+    smallest vertex seeing more than ``q`` colours with its sorted colours."""
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        seen[u].add(col.colour[eid])
+        seen[v].add(col.colour[eid])
+    bad = [(v, tuple(sorted(s))) for v, s in enumerate(seen) if len(s) > q]
+    return tuple(len(s) for s in seen), bad[0] if bad else None
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_validate_agrees_with_a_reference_scan(q):
+    rng = random.Random(q)
+    verdicts = set()
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 10), rng.choice((0.2, 0.4, 0.7)), rng)
+        if g.m == 0:
+            continue
+        palette = rng.randint(1, q + 2)
+        col = EdgeColouring.from_values(g, [rng.randrange(palette) for _ in g.edges])
+        report = validate(g, col, q)
+        counts, first = _reference_report(g, col, q)
+        assert report.vertex_colour_counts == counts
+        assert report.first_violation == first
+        assert report.valid is (first is None)
+        assert report.colours_used == col.num_colours
+        verdicts.add(report.valid)
+    assert verdicts == {True, False}
+
+
 def test_validate_rejects_bad_q_and_foreign_graph():
     g = named("path_3")
     col = EdgeColouring(g, (0, 0))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -161,6 +162,22 @@ def test_triangle_detection():
     assert not is_triangle_free(Graph(3, ((0, 1), (1, 2), (0, 2))))
     assert is_triangle_free(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))))
     assert is_triangle_free(Graph(0, ()))
+
+
+def test_triangle_free_agrees_with_a_scan_of_every_triple():
+    rng = random.Random(11)
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        g = random_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+        adjacent = {frozenset(edge) for edge in g.edges}
+        expected = not any(
+            {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} <= adjacent
+            for a, b, c in itertools.combinations(range(n), 3)
+        )
+        assert is_triangle_free(g) is expected, g
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_triangle_free_on_random_bipartite():

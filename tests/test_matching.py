@@ -43,6 +43,20 @@ def test_exposed_vertices_have_no_mate():
     assert not is_perfect(g, m)
 
 
+def test_matched_edge_is_the_edge_to_the_mate():
+    rng = random.Random(3)
+    for _ in range(100):
+        g = random_graph(rng.randint(0, 12), rng.choice((0.2, 0.4)), rng)
+        found = maximum_matching(g)
+        text = "".join(f"{g.edges[eid][1]} {g.edges[eid][0]}\n" for eid in found.edges)
+        for m in (found, parse_matching(text, g), parse_matching("# reread\n" + text, g)):
+            assert m.edges == found.edges
+            for v in range(g.n):
+                mate = m.mate[v]
+                expected = None if mate is None else g.edge_id(v, mate)
+                assert m.matched_edge(v) == m.mate_edge[v] == expected
+
+
 def test_maximum_on_even_cycle_is_perfect():
     m = maximum_matching(named("cycle_6"))
     assert m.size == 3
