@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, bulk_records, components, read_records
+from .graph import Graph, components, read_records, record_lines
 from .matching import Matching, maximum_matching
 
 
@@ -135,33 +135,23 @@ def parse_colouring(text: str, g: Graph) -> EdgeColouring:
     (either endpoint order).  Colours are arbitrary nonnegative integers and
     are canonicalized on load.
     """
-    bulk = bulk_records(text, 3)
-    if bulk is not None and [record[:2] for record in bulk] == list(g.edges):
-        colours = [c for _, _, c in bulk]
-        if min(colours, default=0) >= 0:
-            return EdgeColouring.from_values(g, colours)
-    values: list[int] = []
-    edges = g.edges
-    for lineno, (u, v, c) in read_records(
-        text, 3, ColouringFormatError, "expected 'u v colour'"
-    ):
-        eid = len(values)
-        if eid >= len(edges):
-            raise ColouringFormatError(f"line {lineno}: more than {g.m} edges")
-        edge = edges[eid]
+    records = read_records(text, 3, ColouringFormatError, "expected 'u v colour'")
+    for index, ((u, v, c), edge) in enumerate(zip(records, g.edges)):
         if (u, v) != edge and (v, u) != edge:
-            raise ColouringFormatError(
-                f"line {lineno}: expected edge {eid} = {edge}, got ({u}, {v})"
-            )
-        if c < 0:
-            raise ColouringFormatError(f"line {lineno}: negative colour {c}")
-        values.append(c)
-    if len(values) != g.m:
+            problem = f"expected edge {index} = {edge}, got ({u}, {v})"
+        elif c < 0:
+            problem = f"negative colour {c}"
+        else:
+            continue
+        raise ColouringFormatError(f"line {record_lines(text)[index]}: {problem}")
+    if len(records) > g.m:
+        raise ColouringFormatError(f"line {record_lines(text)[g.m]}: more than {g.m} edges")
+    if len(records) < g.m:
         raise ColouringFormatError(
             f"line {len(text.splitlines()) + 1}: expected one line per edge ({g.m}), "
-            f"got {len(values)}"
+            f"got {len(records)}"
         )
-    return EdgeColouring.from_values(g, values)
+    return EdgeColouring.from_values(g, [c for _, _, c in records])
 
 
 def serialize_colouring(col: EdgeColouring) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 # Largest vertex count parse_graph accepts.  Graph allocates per vertex, so
@@ -170,58 +169,63 @@ def is_triangle_free(g: Graph) -> bool:
     return all(neighbours[u].isdisjoint(neighbours[v]) for u, v in g.edges)
 
 
+def record_lines(text: str) -> list[int]:
+    """The 1-based line number of each record of ``text``: of each line
+    that is neither blank nor a ``#`` comment, in document order."""
+    return [
+        lineno
+        for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1)
+        if fields and fields[0][0] != "#"
+    ]
+
+
 def read_records(
     text: str,
     width: int,
     error: type[ValueError],
     shape: str,
     first_shape: str | None = None,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+) -> list[tuple[int, ...]]:
     """The line grammar shared by the graph, matching and colouring formats.
 
-    Yields ``(line number, fields)`` for every line that is neither blank
-    nor a ``#`` comment.  Such a line must hold exactly ``width``
+    Returns the fields of every line that is neither blank nor a ``#``
+    comment, in document order; record ``k`` lies on line
+    ``record_lines(text)[k]``.  Such a line must hold exactly ``width``
     whitespace-separated integers; otherwise ``error`` is raised as
-    ``line N: <shape>, got '<line>'``, with ``first_shape`` in place of
-    ``shape`` for the first record when it is a header.
+    ``line N: <shape>, got '<line>'`` for the first line that does not,
+    with ``first_shape`` in place of ``shape`` for the first record when
+    it is a header.
 
-    The parsers read a document this way only when :func:`bulk_records`
-    rejects it or its records fail a check, so this path alone words
-    every error and names its line.
+    The whole document is read before a parser checks any value, so when
+    a document holds both a malformed line and a value fault (a bad
+    count, an edge out of range, a negative colour), the malformed line
+    is the one named, wherever it lies.
+
+    Every line boundary is whitespace to ``str.split``, so without a
+    comment one split of the whole text gives the fields of all lines in
+    order, and one ``int`` pass reads them.
     """
-    expected = first_shape or shape
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
+    lines = text.splitlines()
+    if "#" in text:
+        rows = [lines[lineno - 1].split() for lineno in record_lines(text)]
+        tokens = [token for fields in rows for token in fields]
+    else:
+        rows, tokens = map(str.split, lines), text.split()
+    if set(map(len, rows)) <= {0, width}:
         try:
-            record = (*map(int, fields),)
+            return list(zip(*[map(int, tokens)] * width))
+        except ValueError:
+            pass
+    for index, lineno in enumerate(record_lines(text)):
+        raw = lines[lineno - 1]
+        try:
+            record = (*map(int, raw.split()),)
         except ValueError:
             record = ()
         if len(record) != width:
+            expected = first_shape if index == 0 and first_shape else shape
             raise error(f"line {lineno}: {expected}, got {raw!r}")
-        yield lineno, record
-        expected = shape
-
-
-def bulk_records(text: str, width: int) -> list[tuple[int, ...]] | None:
-    """The records :func:`read_records` yields, without line numbers, read
-    in bulk; ``None`` unless the document has no ``#`` and every nonblank
-    line holds ``width`` integers.
-
-    Every line boundary is whitespace to ``str.split``, so one split of the
-    whole text gives the fields of all lines in order, and one ``int`` pass
-    reads them.  On ``None``, or when a record fails a parser's check, the
-    parser reads the document again by :func:`read_records`, which raises
-    the error naming its line.
-    """
-    if "#" in text or not set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
-        return None
-    values = map(int, text.split())
-    try:
-        return list(zip(*[values] * width))
-    except ValueError:
-        return None
+    raise ValueError("read_records found no malformed line to name")
 
 
 def parse_graph(text: str) -> Graph:
@@ -232,40 +236,28 @@ def parse_graph(text: str) -> Graph:
     or a vertex count above :data:`MAX_VERTICES`, raises
     :class:`GraphFormatError` naming the offending line.
     """
-    bulk = bulk_records(text, 2)
-    if bulk and 0 <= bulk[0][0] <= MAX_VERTICES and bulk[0][1] == len(bulk) - 1:
-        try:
-            return Graph(bulk[0][0], tuple(bulk[1:]))
-        except InvalidEdgeError:
-            pass  # read again line by line to name the edge's line
     records = read_records(
         text, 2, GraphFormatError, "edge must be 'u v'", "header must be 'n m'"
     )
-    header = next(records, None)
-    if header is None:
+    if not records:
         raise GraphFormatError("line 1: missing 'n m' header")
-    lineno, (n, m) = header
+    (n, m), edges = records[0], tuple(records[1:])
     if n < 0 or m < 0:
-        raise GraphFormatError(f"line {lineno}: negative count in header")
+        raise GraphFormatError(f"line {record_lines(text)[0]}: negative count in header")
     if n > MAX_VERTICES:
         raise GraphFormatError(
-            f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}"
+            f"line {record_lines(text)[0]}: vertex count {n} exceeds the limit {MAX_VERTICES}"
         )
-    lines: list[int] = []
-    edges: list[tuple[int, ...]] = []
-    for lineno, edge in records:
-        if len(edges) == m:
-            raise GraphFormatError(f"line {lineno}: more than {m} edges")
-        lines.append(lineno)
-        edges.append(edge)
-    if len(edges) != m:
+    if len(edges) > m:
+        raise GraphFormatError(f"line {record_lines(text)[m + 1]}: more than {m} edges")
+    if len(edges) < m:
         raise GraphFormatError(
             f"line {len(text.splitlines()) + 1}: expected {m} edges, got {len(edges)}"
         )
     try:
-        return Graph(n, tuple(edges))
+        return Graph(n, edges)
     except InvalidEdgeError as exc:
-        raise GraphFormatError(f"line {lines[exc.eid]}: {exc}") from None
+        raise GraphFormatError(f"line {record_lines(text)[exc.eid + 1]}: {exc}") from None
 
 
 def serialize_graph(g: Graph) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import EdgeSubset, Graph, bulk_records, read_records
+from .graph import EdgeSubset, Graph, read_records, record_lines
 
 
 class MatchingFormatError(ValueError):
@@ -51,10 +51,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.edges.members)
-
-    def matched_edge(self, v: int) -> int | None:
-        """Edge id of the matching edge at ``v``, if any."""
-        return self.mate_edge[v]
 
 
 def _searcher(g: Graph, match: list[int]):
@@ -198,28 +194,23 @@ def is_perfect(g: Graph, m: Matching) -> bool:
 
 def parse_matching(text: str, g: Graph) -> Matching:
     """Parse one ``u v`` line per matching edge, validated against ``g``."""
-    bulk = bulk_records(text, 2)
-    if bulk is not None:
-        bulk_ids = [g.edge_id(u, v) for u, v in bulk]
-        # Distinct endpoints rule out both a repeated edge and a shared vertex.
-        if None not in bulk_ids and len({x for edge in bulk for x in edge}) == 2 * len(bulk):
-            return Matching.from_edge_ids(g, bulk_ids)
-    ids: set[int] = set()
+    records = read_records(text, 2, MatchingFormatError, "matching edge must be 'u v'")
+    ids: list[int] = []  # one per record read, so len(ids) indexes the record at fault
     covered = bytearray(g.n)
-    for lineno, (u, v) in read_records(
-        text, 2, MatchingFormatError, "matching edge must be 'u v'"
-    ):
-        eid = g.edge_id(u, v)
+    edge_id = g.edge_id
+    for u, v in records:
+        eid = edge_id(u, v)
         if eid is None:
-            raise MatchingFormatError(f"line {lineno}: ({u}, {v}) is not a graph edge")
-        if eid in ids:
-            raise MatchingFormatError(f"line {lineno}: edge ({u}, {v}) listed twice")
-        if covered[u] or covered[v]:
-            raise MatchingFormatError(
-                f"line {lineno}: edge ({u}, {v}) shares a vertex with another matching edge"
+            problem = f"({u}, {v}) is not a graph edge"
+        elif covered[u] or covered[v]:
+            problem = f"edge ({u}, {v}) " + (
+                "listed twice" if eid in ids else "shares a vertex with another matching edge"
             )
-        ids.add(eid)
-        covered[u] = covered[v] = 1
+        else:
+            ids.append(eid)
+            covered[u] = covered[v] = 1
+            continue
+        raise MatchingFormatError(f"line {record_lines(text)[len(ids)]}: {problem}")
     return Matching.from_edge_ids(g, ids)
 
 

@@ -8,8 +8,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from qcolour import EdgeColouring, Graph, Matching
+from qcolour import (
+    ColouringFormatError,
+    EdgeColouring,
+    Graph,
+    GraphFormatError,
+    Matching,
+    MatchingFormatError,
+)
 from qcolour.analysis import RootedTree
+from qcolour.graph import MAX_VERTICES, InvalidEdgeError
 
 
 def brute_force_matching_size(g: Graph) -> int:
@@ -372,3 +380,103 @@ def check_pair_properties(
             interiors_of_matched.append(set(path[1:-1]))
     for a, b in itertools.combinations(interiors_of_matched, 2):
         assert not (a & b), "matched pairs share an interior vertex"
+
+
+# A reference copy of the text parsers as they read one line at a time:
+# each line is read, then checked, before the next is read.  On a document
+# with one fault, the real parsers must return an equal object or raise the
+# same error with the same message.
+
+
+def line_records(text: str, width: int, error: type[ValueError], shape: str, first_shape=None):
+    """Yield ``(line number, fields)`` per record, raising on the first
+    malformed line when the reader reaches it."""
+    expected = first_shape or shape
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            record = (*map(int, fields),)
+        except ValueError:
+            record = ()
+        if len(record) != width:
+            raise error(f"line {lineno}: {expected}, got {raw!r}")
+        yield lineno, record
+        expected = shape
+
+
+def line_parse_graph(text: str) -> Graph:
+    records = line_records(
+        text, 2, GraphFormatError, "edge must be 'u v'", "header must be 'n m'"
+    )
+    header = next(records, None)
+    if header is None:
+        raise GraphFormatError("line 1: missing 'n m' header")
+    lineno, (n, m) = header
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {lineno}: negative count in header")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}"
+        )
+    lines: list[int] = []
+    edges: list[tuple[int, ...]] = []
+    for lineno, edge in records:
+        if len(edges) == m:
+            raise GraphFormatError(f"line {lineno}: more than {m} edges")
+        lines.append(lineno)
+        edges.append(edge)
+    if len(edges) != m:
+        raise GraphFormatError(
+            f"line {len(text.splitlines()) + 1}: expected {m} edges, got {len(edges)}"
+        )
+    try:
+        return Graph(n, tuple(edges))
+    except InvalidEdgeError as exc:
+        raise GraphFormatError(f"line {lines[exc.eid]}: {exc}") from None
+
+
+def line_parse_matching(text: str, g: Graph) -> Matching:
+    ids: set[int] = set()
+    covered = bytearray(g.n)
+    for lineno, (u, v) in line_records(
+        text, 2, MatchingFormatError, "matching edge must be 'u v'"
+    ):
+        eid = g.edge_id(u, v)
+        if eid is None:
+            raise MatchingFormatError(f"line {lineno}: ({u}, {v}) is not a graph edge")
+        if eid in ids:
+            raise MatchingFormatError(f"line {lineno}: edge ({u}, {v}) listed twice")
+        if covered[u] or covered[v]:
+            raise MatchingFormatError(
+                f"line {lineno}: edge ({u}, {v}) shares a vertex with another matching edge"
+            )
+        ids.add(eid)
+        covered[u] = covered[v] = 1
+    return Matching.from_edge_ids(g, ids)
+
+
+def line_parse_colouring(text: str, g: Graph) -> EdgeColouring:
+    values: list[int] = []
+    edges = g.edges
+    for lineno, (u, v, c) in line_records(
+        text, 3, ColouringFormatError, "expected 'u v colour'"
+    ):
+        eid = len(values)
+        if eid >= len(edges):
+            raise ColouringFormatError(f"line {lineno}: more than {g.m} edges")
+        edge = edges[eid]
+        if (u, v) != edge and (v, u) != edge:
+            raise ColouringFormatError(
+                f"line {lineno}: expected edge {eid} = {edge}, got ({u}, {v})"
+            )
+        if c < 0:
+            raise ColouringFormatError(f"line {lineno}: negative colour {c}")
+        values.append(c)
+    if len(values) != g.m:
+        raise ColouringFormatError(
+            f"line {len(text.splitlines()) + 1}: expected one line per edge ({g.m}), "
+            f"got {len(values)}"
+        )
+    return EdgeColouring.from_values(g, values)

@@ -31,7 +31,7 @@ def test_mate_view_matches_edge_set():
     m = Matching.from_edge_ids(g, {0, 1})
     assert m.mate == (1, 0, 3, 2)
     assert m.size == 2
-    assert m.matched_edge(2) == 1
+    assert m.mate_edge[2] == 1
     assert is_perfect(g, m)
 
 
@@ -39,7 +39,7 @@ def test_exposed_vertices_have_no_mate():
     g = Graph(3, ((0, 1), (1, 2)))
     m = Matching.from_edge_ids(g, {0})
     assert m.mate[2] is None
-    assert m.matched_edge(2) is None
+    assert m.mate_edge[2] is None
     assert not is_perfect(g, m)
 
 
@@ -54,7 +54,7 @@ def test_matched_edge_is_the_edge_to_the_mate():
             for v in range(g.n):
                 mate = m.mate[v]
                 expected = None if mate is None else g.edge_id(v, mate)
-                assert m.matched_edge(v) == m.mate_edge[v] == expected
+                assert m.mate_edge[v] == expected
 
 
 def test_maximum_on_even_cycle_is_perfect():

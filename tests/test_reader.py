@@ -1,24 +1,24 @@
-"""The bulk reader and the line-by-line reader agree.
+"""One reader for the three text formats, checked against the line reader.
 
-``parse_graph``, ``parse_matching`` and ``parse_colouring`` first read a
-document with ``bulk_records`` and fall back to ``read_records`` when the
-bulk reader rejects it or a record fails a check.  Each test here parses a
-document twice, once as shipped and once with ``bulk_records`` replaced by
-a reader that rejects everything, and requires an equal object or the same
-error message from both.
+``parse_graph``, ``parse_matching`` and ``parse_colouring`` read a document
+once with ``read_records`` and check its records in one pass.
+``helpers`` keeps a reference copy of the parsers that read and check one
+line at a time.  On documents with at most one fault, the tests here
+require an equal object or the same error message from both; on documents
+with two faults, which the two may word differently, they pin the line
+named.
 """
 
 from __future__ import annotations
 
-import contextlib
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcolour import (
     ColouringFormatError,
+    Graph,
     GraphFormatError,
     MatchingFormatError,
     maximum_matching,
@@ -26,25 +26,20 @@ from qcolour import (
     parse_graph,
     parse_matching,
 )
-from qcolour.graph import bulk_records, read_records
-from helpers import random_graph
+from qcolour.graph import read_records, record_lines
+from helpers import (
+    line_parse_colouring,
+    line_parse_graph,
+    line_parse_matching,
+    line_records,
+    random_graph,
+)
 
-_READERS = ("qcolour.graph", "qcolour.matching", "qcolour.colouring")
 # "\x1f" is whitespace to str.split but no line boundary to str.splitlines.
 _SEPARATORS = (" ", "\t", "  ", " \t ", "\x1f")
 _ENDINGS = ("\n", "\r\n", "\r", "\x0c")
 _NOT_INTEGERS = ("x", "1.5", "0x1", "--1", "1e3", "one")
 CORRUPTIONS = ("width", "token", "comment", "range", "duplicate", "overlap", "count", "negative")
-
-
-@contextlib.contextmanager
-def _line_path_only():
-    with contextlib.ExitStack() as stack:
-        for module in _READERS:
-            stack.enter_context(
-                mock.patch(f"{module}.bulk_records", lambda text, width: None)
-            )
-        yield
 
 
 def _outcome(parse, *args):
@@ -54,12 +49,17 @@ def _outcome(parse, *args):
         return type(exc).__name__, str(exc)
 
 
+_REFERENCE = {
+    parse_graph: line_parse_graph,
+    parse_matching: line_parse_matching,
+    parse_colouring: line_parse_colouring,
+}
+
+
 def _check_agreement(parse, text, *args):
-    bulk = _outcome(parse, text, *args)
-    with _line_path_only():
-        line = _outcome(parse, text, *args)
-    assert bulk == line, repr(text)
-    return bulk
+    outcome = _outcome(parse, text, *args)
+    assert outcome == _outcome(_REFERENCE[parse], text, *args), repr(text)
+    return outcome
 
 
 def _render(rows: list, rng: random.Random) -> str:
@@ -98,6 +98,10 @@ def _documents(rng: random.Random):
     return g, graph_rows, matching_rows, colouring_rows
 
 
+def _add_comment(rows: list, rng: random.Random) -> None:
+    rows.insert(rng.randrange(len(rows) + 1), rng.choice(("# note", "#", "  # 1 2")))
+
+
 def _corrupt(rows: list, first: int, kind: str, g, rng: random.Random) -> list:
     """``rows``, records of a document over ``g``, with one line corrupted
     by ``kind``; ``first`` is the index of the first record that is not a
@@ -106,7 +110,7 @@ def _corrupt(rows: list, first: int, kind: str, g, rng: random.Random) -> list:
     records = range(first, len(rows))
     i = rng.choice(records) if records else None
     if kind == "comment":
-        rows.insert(rng.randrange(len(rows) + 1), rng.choice(("# note", "#", "  # 1 2")))
+        _add_comment(rows, rng)
     elif kind == "width" and rows:
         j = rng.randrange(len(rows))
         if rng.random() < 0.5:
@@ -139,7 +143,7 @@ def _corrupt(rows: list, first: int, kind: str, g, rng: random.Random) -> list:
 
 
 @given(st.integers(0, 2**32))
-def test_bulk_reader_matches_the_line_path_on_well_formed_documents(seed):
+def test_parsers_match_the_line_reader_on_well_formed_documents(seed):
     rng = random.Random(seed)
     g, graph_rows, matching_rows, colouring_rows = _documents(rng)
     for rows, width, error in (
@@ -147,10 +151,12 @@ def test_bulk_reader_matches_the_line_path_on_well_formed_documents(seed):
         (matching_rows, 2, MatchingFormatError),
         (colouring_rows, 3, ColouringFormatError),
     ):
+        if rng.random() < 0.5:
+            _add_comment(rows, rng)
         text = _render(rows, rng)
-        assert bulk_records(text, width) == [
-            record for _, record in read_records(text, width, error, "")
-        ]
+        numbered = list(line_records(text, width, error, ""))
+        assert read_records(text, width, error, "") == [record for _, record in numbered]
+        assert record_lines(text) == [lineno for lineno, _ in numbered]
     parsed = _check_agreement(parse_graph, _render(graph_rows, rng))
     assert parsed.n == g.n and [tuple(sorted(e)) for e in parsed.edges] == list(g.edges)
     assert _check_agreement(parse_matching, _render(matching_rows, rng), g) == maximum_matching(g)
@@ -160,23 +166,73 @@ def test_bulk_reader_matches_the_line_path_on_well_formed_documents(seed):
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 @given(seed=st.integers(0, 2**32))
-def test_bulk_reader_matches_the_line_path_on_corrupted_documents(kind, seed):
+def test_parsers_match_the_line_reader_on_corrupted_documents(kind, seed):
+    """One fault per document; half the documents also hold a comment, so a
+    failed check must name its line past comment lines too."""
     rng = random.Random(seed)
     g, graph_rows, matching_rows, colouring_rows = _documents(rng)
-    _check_agreement(parse_graph, _render(_corrupt(graph_rows, 1, kind, g, rng), rng))
-    _check_agreement(
-        parse_matching, _render(_corrupt(matching_rows, 0, kind, g, rng), rng), g
-    )
-    _check_agreement(
-        parse_colouring, _render(_corrupt(colouring_rows, 0, kind, g, rng), rng), g
-    )
+    for parse, rows, first, args in (
+        (parse_graph, graph_rows, 1, ()),
+        (parse_matching, matching_rows, 0, (g,)),
+        (parse_colouring, colouring_rows, 0, (g,)),
+    ):
+        rows = _corrupt(rows, first, kind, g, rng)
+        if rng.random() < 0.5:
+            _add_comment(rows, rng)
+        _check_agreement(parse, _render(rows, rng), *args)
 
 
-def test_bulk_reader_rejects_what_it_cannot_read_line_for_line():
-    assert bulk_records("1 2\n3 4\n", 2) == [(1, 2), (3, 4)]
-    assert bulk_records("1\t2\r\n\r\n3 4\x0c5 6", 2) == [(1, 2), (3, 4), (5, 6)]
-    assert bulk_records("", 2) == []
-    assert bulk_records("1 2 3\n4\n", 2) is None  # four integers, but wrong widths
-    assert bulk_records("1 2\n# 3 4\n", 2) is None
-    assert bulk_records("1 2 # trailing\n", 2) is None
-    assert bulk_records("1 x\n", 2) is None
+def test_read_records_reads_every_line_ending_and_names_the_first_malformed_line():
+    def read(text):
+        return read_records(text, 2, GraphFormatError, "edge", "header")
+
+    assert read("1\t2\r\n\r\n3 4\x0c5 6") == [(1, 2), (3, 4), (5, 6)]
+    assert record_lines("1\t2\r\n\r\n3 4\x0c5 6") == [1, 3, 4]
+    assert read("") == [] and record_lines("") == []
+    assert read("# 1 2 3\n\n1 2\n") == [(1, 2)]
+    for text, message in (
+        ("1 2 # trailing\n", "line 1: header, got '1 2 # trailing'"),
+        ("1 x\n", "line 1: header, got '1 x'"),
+        ("1 2 3\n4\n", "line 1: header, got '1 2 3'"),  # four integers, wrong widths
+        ("# 1 2 3\n1 2\n\n3\n", "line 4: edge, got '3'"),
+        ("1 2\n3 4\x1f5\n", "line 2: edge, got '3 4\\x1f5'"),
+    ):
+        with pytest.raises(GraphFormatError) as exc:
+            read(text)
+        assert str(exc.value) == message
+
+
+_PATH = Graph(4, ((0, 1), (1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # A malformed line is named before any value fault, wherever it lies.
+        (parse_graph, "2000000 1\nx y\n", "line 2: edge must be 'u v', got 'x y'"),
+        (parse_graph, "-1 1\n0 1 2\n", "line 2: edge must be 'u v', got '0 1 2'"),
+        (parse_graph, "3 1\n0 1\n0 2\n1 x\n", "line 4: edge must be 'u v', got '1 x'"),
+        (parse_matching, "0 3\n1 x\n", "line 2: matching edge must be 'u v', got '1 x'"),
+        (parse_matching, "0 1\n1 0\n2 3 4\n", "line 3: matching edge must be 'u v', got '2 3 4'"),
+        (parse_colouring, "0 1 -1\n1 2\n2 3 0\n", "line 2: expected 'u v colour', got '1 2'"),
+        (
+            parse_colouring,
+            "0 1 0\n1 2 0\n2 3 0\n0 1 0\n1 x 0\n",
+            "line 5: expected 'u v colour', got '1 x 0'",
+        ),
+        # Of two value faults, the graph's edge count is checked before its
+        # edges; otherwise the first in document order is named.
+        (parse_graph, "# c\n3 1\n0 5\n1 2\n", "line 4: more than 1 edges"),
+        (
+            parse_matching,
+            "# c\n0 1\n1 2\n0 1\n",
+            "line 3: edge (1, 2) shares a vertex with another matching edge",
+        ),
+        (parse_colouring, "# c\n1 0 5\n2 1 -3\n3 3 0\n", "line 3: negative colour -3"),
+    ],
+)
+def test_the_first_malformed_line_is_named_before_any_value_fault(parse, text, message):
+    args = () if parse is parse_graph else (_PATH,)
+    with pytest.raises(ValueError) as exc:
+        parse(text, *args)
+    assert str(exc.value) == message
