@@ -2,10 +2,11 @@
 the approximation-ratio argument is built from.
 
 A colour is a *matching colour* when some matching edge wears it, otherwise a
-*non-matching colour*.  Every colour class must be connected; non-matching
-classes are then automatically vertex-disjoint, each confined to a single
-component of the graph minus the matching, and the whole machinery of paths
-between them hangs off this decomposition.
+*non-matching colour*.  Every colour class must be connected.  Validity and
+a perfect matching make non-matching classes vertex-disjoint (a shared
+vertex would also see its matching colour), and connectivity confines each
+to one component of the graph minus the matching; the whole machinery of
+paths between them hangs off this decomposition.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ class AnalysisInvariantError(StructuralError):
 
 
 def matched_colour_map(col: EdgeColouring, m: Matching) -> tuple[int | None, ...]:
-    """Per-vertex colour of the incident matching edge (``None`` if exposed)."""
-    g = col.graph
-    out: list[int | None] = [None] * g.n
-    for eid in m.edges.members:
-        u, v = g.edges[eid]
-        out[u] = out[v] = col.colour[eid]
-    return tuple(out)
+    """Per-vertex colour of the incident matching edge (``None`` if exposed),
+    read through ``m.mate_edge``; ``col`` and ``m`` must share one graph."""
+    if m.graph != col.graph:
+        raise ValueError("colouring and matching refer to different graphs")
+    return tuple([None if eid is None else col.colour[eid] for eid in m.mate_edge])
 
 
 @dataclass(frozen=True)
@@ -86,33 +85,16 @@ class ColourDecomposition:
         return self.colouring.num_colours
 
 
-def _class_is_connected(g: Graph, eids: list[int]) -> bool:
-    verts: set[int] = set()
-    for eid in eids:
-        verts.update(g.edges[eid])
-    if not verts:
-        return True
-    allowed = set(eids)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y, eid in g.adjacency[x]:
-            if eid in allowed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
-
-
 def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     """Validate and split ``col`` against ``m``.
 
     Raises a :class:`StructuralError` when the graph has no edges, or a
     subclass when the matching is not perfect, the colouring is invalid for
-    q = 2, or some colour class is disconnected.  The components of G minus
-    M come from one ``components(g, m.edges)`` call, and each non-matching
-    colour is filed under the component of its first edge.
+    q = 2, or some colour class is disconnected (naming the lowest).  One
+    search per class, along its own edges from an end of its first edge,
+    proves it connected and gives a non-matching class's vertices; one
+    ``components(g, m.edges)`` call and a scan of each component's edges
+    file the non-matching colours.
     """
     if m.graph != g or col.graph != g:
         raise ValueError("matching/colouring belong to a different graph")
@@ -130,34 +112,46 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
             f"not a valid 2-colouring: vertex {v} sees colours {sorted(seen)}"
         )
 
-    by_colour: list[list[int]] = [[] for _ in range(col.num_colours)]
-    for eid, c in enumerate(col.colour):
-        by_colour[c].append(eid)
-    for c, eids in enumerate(by_colour):
-        if not _class_is_connected(g, eids):
-            raise DisconnectedColourClassError(f"colour class {c} is disconnected")
-
-    c_m = frozenset(col.colour[eid] for eid in m.edges.members)
+    colour = col.colour
+    c_m = frozenset(colour[eid] for eid in m.edges.members)
     c_n = frozenset(range(col.num_colours)) - c_m
 
-    gm_comps = tuple(comp for comp in components(g, m.edges) if comp.has_edges)
-    edge_to_comp: dict[int, int] = {}
-    for i, comp in enumerate(gm_comps):
-        for eid in comp.edge_ids:
-            edge_to_comp[eid] = i
-    # A connected class of non-matching edges lies inside one component of
-    # G minus M, so its first edge names that component.  Validity makes
-    # distinct non-matching classes vertex-disjoint: a shared vertex would
-    # see both of them plus its matching colour.
-    comp_colours: list[list[int]] = [[] for _ in gm_comps]
+    # Canonical colours first appear in order: first[c] is class c's first edge.
+    size = [0] * col.num_colours
+    first: list[int] = []
+    for eid, c in enumerate(colour):
+        if not size[c]:
+            first.append(eid)
+        size[c] += 1
+    # Each reached class edge is met once from each end, so the class is
+    # connected exactly when its search meets 2 * size[c] edge ends.
+    adjacency = g.adjacency
     vertex_class: dict[int, int] = {}
-    for c, eids in enumerate(by_colour):
-        if c in c_m:
-            continue
-        comp_colours[edge_to_comp[eids[0]]].append(c)
-        for eid in eids:
-            for v in g.edges[eid]:
-                vertex_class[v] = c
+    for c, eid in enumerate(first):
+        start = g.edges[eid][0]
+        seen = {start}
+        stack = [start]
+        ends = 0
+        while stack:
+            for y, e in adjacency[stack.pop()]:
+                if colour[e] == c:
+                    ends += 1
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        if ends != 2 * size[c]:
+            raise DisconnectedColourClassError(f"colour class {c} is disconnected")
+        if c not in c_m:
+            vertex_class.update(dict.fromkeys(seen, c))
+
+    # A connected non-matching class lies inside one component of G minus M,
+    # so a scan of each component's edges files it there; canonical colours
+    # come out of that scan in increasing order.
+    gm_comps = tuple(comp for comp in components(g, m.edges) if comp.has_edges)
+    comp_colours = tuple(
+        tuple(c for c in dict.fromkeys(colour[eid] for eid in comp.edge_ids) if c not in c_m)
+        for comp in gm_comps
+    )
 
     return ColourDecomposition(
         graph=g,
@@ -166,6 +160,6 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
         matching_colours=c_m,
         non_matching_colours=c_n,
         gm_components=gm_comps,
-        component_colours=tuple(tuple(cc) for cc in comp_colours),
+        component_colours=comp_colours,
         vertex_class=vertex_class,
     )

@@ -32,8 +32,10 @@ def repetition_content(
     The matching edges incident to ``vertices`` must all carry one
     colour.  The content is the number of those edges beyond the first;
     it always lies between ``(|vertices| - 2) / 2`` and
-    ``|vertices| - 1``.
+    ``|vertices| - 1``.  ``m`` and ``col`` must share one graph.
     """
+    if m.graph != col.graph:
+        raise ValueError("colouring and matching refer to different graphs")
     if not vertices:
         raise ValueError("vertex set must be nonempty")
     ids = {m.mate_edge[v] for v in vertices}

@@ -334,6 +334,35 @@ def random_valid_colouring(g: Graph, rng: random.Random, moves: int) -> EdgeColo
     )
 
 
+def merge_disjoint_classes(
+    col: EdgeColouring, m: Matching, rng: random.Random
+) -> tuple[EdgeColouring, int, bool] | None:
+    """Merge two vertex-disjoint colour classes of one kind (both matching
+    colours or both non-matching), picked by ``rng``.
+
+    No vertex sees both merged classes, so a valid colouring stays valid,
+    and the merged class is disconnected.  Returns ``(colouring, colour,
+    is_matching)`` with the merged class's canonical colour, or ``None``
+    when no two classes qualify.
+    """
+    g = col.graph
+    verts: list[set[int]] = [set() for _ in range(col.num_colours)]
+    for eid, c in enumerate(col.colour):
+        verts[c].update(g.edges[eid])
+    matching = {col.colour[eid] for eid in m.edges.members}
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(range(col.num_colours), 2)
+        if (a in matching) == (b in matching) and not verts[a] & verts[b]
+    ]
+    if not pairs:
+        return None
+    a, b = rng.choice(pairs)
+    merged = EdgeColouring.from_values(g, [a if c == b else c for c in col.colour])
+    # a < b, so the merged class first appears at a's first edge.
+    return merged, merged.colour[col.colour.index(a)], a in matching
+
+
 def root_climb_path(tree: RootedTree, u: int, v: int) -> tuple[int, ...]:
     """The u-v path of ``tree`` by listing every ancestor of ``u`` up to the
     root, then climbing from ``v`` to the first of them.  Costs the depth of

@@ -44,9 +44,11 @@ from qcolour.instances import (
     random_with_perfect_matching,
 )
 from helpers import (
+    bfs_components,
     caterpillar_pair_tree,
     check_order_against_closure,
     check_pair_properties,
+    merge_disjoint_classes,
     random_pair_tree,
     random_valid_colouring,
     root_climb_path,
@@ -94,6 +96,54 @@ def test_decompose_rejects_disconnected_class():
         decompose(g, m, col)
 
 
+def _random_draws(rng: random.Random, count: int, n_max: int):
+    """``count`` random valid colourings with connected classes over pm and
+    tf instances of 8..``n_max`` vertices, alternating the two families."""
+    for i in range(count):
+        gen = random_with_perfect_matching if i % 2 == 0 else random_triangle_free_with_pm
+        n = rng.randrange(8, n_max + 1, 2)
+        inst = gen(n, 3 / n, rng.randrange(10**6))
+        yield inst, random_valid_colouring(inst.graph, rng, moves=8 * inst.graph.m)
+
+
+def test_decompose_names_a_disconnected_class_of_either_kind():
+    # Merging two vertex-disjoint classes keeps the colouring valid and
+    # leaves exactly one disconnected class, the merged one.
+    rng = random.Random(1919)
+    kinds = {True: 0, False: 0}
+    for inst, col in _random_draws(rng, 300, 16):
+        merge = merge_disjoint_classes(col, inst.matching, rng)
+        if merge is None:
+            continue
+        merged, c, is_matching = merge
+        kinds[is_matching] += 1
+        with pytest.raises(DisconnectedColourClassError, match=f"^colour class {c} is disconnected$"):
+            decompose(inst.graph, inst.matching, merged)
+    assert (kinds[True], kinds[False]) == (220, 44)
+
+
+def test_decompose_files_classes_as_breadth_first_search_does():
+    # Reference: the components of G minus M from bfs_components, each
+    # non-matching class's vertices from its edges.
+    rng = random.Random(1920)
+    for inst, col in _random_draws(rng, 200, 16):
+        g, m = inst.graph, inst.matching
+        dec = decompose(g, m, col)
+        matching_colours = {col.colour[eid] for eid in m.edges.members}
+        class_vertices: dict[int, set[int]] = {}
+        for eid, c in enumerate(col.colour):
+            if c not in matching_colours:
+                class_vertices.setdefault(c, set()).update(g.edges[eid])
+        comps = [comp for comp in bfs_components(g, m.edges.members) if len(comp) > 1]
+        assert [comp.vertices for comp in dec.gm_components] == [tuple(sorted(c)) for c in comps]
+        expected = tuple(
+            tuple(sorted(c for c, vs in class_vertices.items() if vs <= comp)) for comp in comps
+        )
+        assert dec.component_colours == expected
+        assert sum(map(len, expected)) == len(class_vertices)
+        assert dec.vertex_class == {v: c for c, vs in class_vertices.items() for v in vs}
+
+
 def test_decompose_lower_bound_instance():
     inst = fig5_lower_bound()
     dec = decompose(inst.graph, inst.matching, inst.certified_colouring)
@@ -108,6 +158,18 @@ def test_matched_colour_map_reports_exposed_vertices():
     m = Matching.from_edge_ids(g, {0})
     col = EdgeColouring(g, (0, 1))
     assert matched_colour_map(col, m) == (0, 0, None)
+
+
+def test_matching_and_colouring_on_different_graphs_are_rejected():
+    a = Graph(4, ((0, 1), (2, 3), (1, 2)))
+    b = Graph(4, ((1, 2), (0, 3), (0, 1)))
+    six = Graph(6, ((0, 1), (2, 3), (4, 5)))
+    col = EdgeColouring(a, (0, 1, 2))
+    for m in (Matching.from_edge_ids(b, {0, 1}), Matching.from_edge_ids(six, {2})):
+        with pytest.raises(ValueError, match="^colouring and matching refer to different graphs$"):
+            matched_colour_map(col, m)
+        with pytest.raises(ValueError, match="^colouring and matching refer to different graphs$"):
+            repetition_content({1, 2}, m, col)
 
 
 # ------------------------------------------------------- one-leaf trees (paths)
@@ -717,11 +779,7 @@ def test_random_valid_colourings_are_unanchored_or_pass_every_relation():
     # matching colours, or passes the whole chain with no invariant error.
     rng = random.Random(1910)
     analysed = unanchored = paired = 0
-    for i in range(300):
-        gen = random_with_perfect_matching if i % 2 == 0 else random_triangle_free_with_pm
-        n = rng.randrange(8, 41, 2)
-        inst = gen(n, 3 / n, rng.randrange(10**6))
-        col = random_valid_colouring(inst.graph, rng, moves=8 * inst.graph.m)
+    for inst, col in _random_draws(rng, 300, 40):
         try:
             report = analyse(inst.graph, inst.matching, col)
         except UnanchoredComponentError:

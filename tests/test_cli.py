@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,14 @@ from qcolour.cli import (
 )
 from qcolour.exact import EXACT_EDGE_LIMIT
 from qcolour.graph import MAX_VERTICES
-from qcolour.instances import fig5_lower_bound, named, random_with_perfect_matching
+from qcolour.instances import (
+    fig5_lower_bound,
+    named,
+    random_triangle_free_with_pm,
+    random_with_perfect_matching,
+)
+
+from helpers import merge_disjoint_classes, random_valid_colouring
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC / "qcolour" / "data"
@@ -171,6 +179,30 @@ def test_analyze_structural_failure(capsys, tmp_path):
     code = main(["analyze", str(gfile), str(mfile), str(cfile)])
     assert code == EXIT_STRUCTURAL
     assert "perfect" in capsys.readouterr().err
+
+
+def test_analyze_names_a_disconnected_colour_class(capsys, tmp_path):
+    # One document per kind of merged class: two matching colours, then
+    # two non-matching colours, each pair vertex-disjoint.
+    rng = random.Random(19)
+    for want_matching, gen in ((True, random_with_perfect_matching),
+                               (False, random_triangle_free_with_pm)):
+        for _ in range(50):
+            inst = gen(12, 0.25, rng.randrange(10**6))
+            col = random_valid_colouring(inst.graph, rng, moves=8 * inst.graph.m)
+            merge = merge_disjoint_classes(col, inst.matching, rng)
+            if merge is not None and merge[2] == want_matching:
+                break
+        else:
+            pytest.fail("no draw had two mergeable classes of the wanted kind")
+        merged, c, _ = merge
+        paths = [tmp_path / "g.graph", tmp_path / "g.matching", tmp_path / "g.colouring"]
+        texts = [serialize_graph(inst.graph), serialize_matching(inst.matching),
+                 serialize_colouring(merged)]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        assert main(["analyze", *map(str, paths)]) == EXIT_STRUCTURAL
+        assert capsys.readouterr() == ("", f"error: colour class {c} is disconnected\n")
 
 
 def test_failed_analysis_invariant_is_a_structural_error(capsys, monkeypatch):
