@@ -32,8 +32,8 @@ class RootedTree:
     (the graph edge from a vertex to its parent) are derived from it, and
     so is ``postorder``, the per-tree vertex order: children precede
     parents and the root comes last, so larger index means closer to the
-    root.  Raises ``ValueError`` when ``children`` is not a tree on edges
-    of ``graph`` hanging from ``root``.
+    root.  Raises ``ValueError`` when ``root`` is not a vertex of ``graph``
+    or ``children`` is not a tree on edges of ``graph`` hanging from it.
     """
 
     graph: Graph
@@ -45,6 +45,8 @@ class RootedTree:
     index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.root < self.graph.n:
+            raise ValueError(f"root {self.root} is not a vertex of the graph")
         parent: dict[int, int] = {}
         parent_edge: dict[int, int] = {}
         post: list[int] = []
@@ -82,11 +84,14 @@ class RootedTree:
 
     def reordered(self, last: dict[int, int]) -> RootedTree:
         """This tree with child ``last[v]`` moved to the end of the children
-        of ``v``, for each ``v`` in ``last``; ``self`` when nothing moves."""
+        of ``v``, for each ``v`` in ``last``; ``self`` when nothing moves.
+        Raises ``ValueError`` when some ``last[v]`` is not a child of ``v``."""
         if all(self.children.get(v, ())[-1:] == (t,) for v, t in last.items()):
             return self
         kids = dict(self.children)
         for v, t in last.items():
+            if self.parent.get(t) != v:
+                raise ValueError(f"vertex {t} is not a child of {v}")
             kids[v] = tuple(c for c in kids[v] if c != t) + (t,)
         return RootedTree(self.graph, self.root, kids)
 

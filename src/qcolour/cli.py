@@ -13,13 +13,15 @@ Machine output is JSON with a fixed key order, so identical invocations
 produce byte-identical documents; rational numbers are serialized as
 strings like ``"58/37"``.  Exit codes: 0 success / all checks passed,
 1 usage or I/O or parse failure, 2 structural precondition failure,
-3 validity or bound failure, 4 exact search budget exhausted.
+3 validity or bound failure, 4 exact search budget exhausted.  Each command
+runs with the cyclic garbage collector paused, restored afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -273,6 +275,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except _HelpShown:
         return EXIT_OK
+    # Reference counting frees all a command builds (the library makes no
+    # reference cycles), so the cyclic collector would only rescan it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -285,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         # Parse/format failures from the loaders.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

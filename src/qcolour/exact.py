@@ -219,6 +219,9 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
                 return
 
     dfs(0, 0, root_slots)
+    # dfs holds itself through its closure cell, a reference cycle only the
+    # cyclic collector would free, and commands run with that paused.
+    del dfs
     by_id = [0] * m
     for i, eid in enumerate(order):
         by_id[eid] = best_assign[i]
@@ -281,6 +284,7 @@ def oracle_optimal(g: Graph, q: int = 2) -> int:
                 place(eid, c, -1)
 
     rec(0, 0)
+    del rec  # break the closure's cycle, as optimal_colouring does with dfs
     return best
 
 
@@ -338,4 +342,5 @@ def direct_anti_ramsey_star(g: Graph, t: int) -> int:
             rec(eid + 1, used + (1 if c == used else 0))
 
     rec(0, 0)
+    del rec  # break the closure's cycle, as optimal_colouring does with dfs
     return best + 1

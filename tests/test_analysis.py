@@ -474,6 +474,20 @@ def test_rooted_tree_rejects_a_shape_that_is_not_a_tree():
         RootedTree.build(g, 0, {1: 0, 3: 0})
     with pytest.raises(ValueError, match="cut off from the root"):
         RootedTree.build(g, 0, {1: 2, 2: 1})
+    for root in (10**9, -1):
+        with pytest.raises(ValueError, match=f"root {root} is not a vertex"):
+            RootedTree(g, root, {})
+
+
+def test_reordered_moves_only_a_child_of_its_vertex():
+    g = Graph(4, ((0, 1), (1, 2), (1, 3)))
+    tree = RootedTree.build(g, 0, {1: 0, 2: 1})
+    # 3 is adjacent to 1 in the graph but not in the tree; 0 is the root.
+    with pytest.raises(ValueError, match="vertex 3 is not a child of 1"):
+        tree.reordered({1: 3})
+    with pytest.raises(ValueError, match="vertex 0 is not a child of 3"):
+        tree.reordered({3: 0})
+    assert tree.reordered({1: 2}) is tree
 
 
 # Each probe prints the type and message of the exception it raises.  The

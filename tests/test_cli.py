@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -264,12 +265,16 @@ def test_analyze_detects_a_triangle_and_takes_no_option(capsys, tmp_path):
     assert "unrecognized arguments: --triangle-free" in capsys.readouterr().err
 
 
-def test_analyze_deep_path(capsys, tmp_path):
-    # Path vertices 0..depth, each with a pendant matching edge; path and
-    # pendant edges all wear colour 0.  The path ends 0 and depth each start
-    # a one-edge non-matching class (colours 1, 2) whose other end is matched
-    # in a colour of its own (3, 4).  The cascade grows one tree of depth
-    # 1,500 from vertex 0.
+@pytest.fixture()
+def deep_path(tmp_path):
+    """Graph, matching and colouring files of one deep path.
+
+    Path vertices 0..depth, each with a pendant matching edge; path and
+    pendant edges all wear colour 0.  The path ends 0 and depth each start
+    a one-edge non-matching class (colours 1, 2) whose other end is matched
+    in a colour of its own (3, 4).  The cascade grows one tree of depth
+    1,500 from vertex 0.
+    """
     depth = 1500
     n = 2 * depth + 6
     b1, b1_mate, b2, b2_mate = range(2 * depth + 2, n)
@@ -283,7 +288,11 @@ def test_analyze_deep_path(capsys, tmp_path):
     mfile.write_text("".join(f"{u} {v}\n" for u, v in matching))
     cfile = tmp_path / "deep.colouring"
     cfile.write_text("".join(f"{u} {v} {c}\n" for u, v, c in coloured))
-    assert main(["analyze", str(gfile), str(mfile), str(cfile)]) == EXIT_OK
+    return [str(gfile), str(mfile), str(cfile)]
+
+
+def test_analyze_deep_path(capsys, deep_path):
+    assert main(["analyze", *deep_path]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 3006
     assert doc["all_passed"] is True
@@ -329,10 +338,12 @@ def test_sweep_rejects_bad_sizes(capsys):
 
 
 def test_sweep_rejects_negative_budget_before_any_work(capsys, monkeypatch):
+    # Patch main's own globals: collecting the bench tests imports a fresh
+    # qcolour.cli, so "qcolour.cli.<name>" need not be the module main reads.
     def no_generation(*args):
         raise AssertionError("an instance was generated")
 
-    monkeypatch.setattr("qcolour.cli.random_with_perfect_matching", no_generation)
+    monkeypatch.setitem(main.__globals__, "random_with_perfect_matching", no_generation)
     assert main(["sweep", "--family", "pm", "--budget", "-1"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "usage error: --budget must be nonnegative\n"
@@ -376,6 +387,100 @@ def test_main_reuses_its_parser_without_leaking_state(capsys, square):
     assert [code for code, _, _ in first] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
     assert json.loads(first[0][1])["opt"] == 1 and json.loads(first[1][1])["opt"] == 4
     assert json.loads(first[2][1])["family"] == "tf" and json.loads(first[4][1])["family"] == "pm"
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector_on_every_exit_path(capsys, tmp_path, square, monkeypatch,
+                                                        enabled):
+    edgeless = tmp_path / "empty.graph"
+    edgeless.write_text("3 0\n")
+    calls = [
+        (["approx", str(FIG5)], EXIT_OK),
+        (["--help"], EXIT_OK),
+        (["bogus"], EXIT_USAGE),
+        (["exact", str(square), "--q", "0"], EXIT_USAGE),
+        (["approx", str(tmp_path / "nope.graph")], EXIT_USAGE),
+        (["approx", str(edgeless)], EXIT_STRUCTURAL),
+        (["verify", str(FIG5), str(FIG5_CERT), "--q", "1"], EXIT_FAILED),
+        (["exact", str(FIG5), "--budget", "10"], EXIT_INCOMPLETE),
+    ]
+
+    def crash(text):
+        raise RuntimeError("not a documented failure")
+
+    with _collector(enabled):
+        for argv, code in calls:
+            assert (main(argv), gc.isenabled()) == (code, enabled)
+        monkeypatch.setitem(main.__globals__, "parse_graph", crash)
+        with pytest.raises(RuntimeError):
+            main(["approx", str(FIG5)])
+        assert gc.isenabled() is enabled
+
+
+def _collections_during(argv: list[str]) -> list[int]:
+    """Exit 0 from ``main(argv)`` for a caller that has the collector
+    enabled; return the generation of each cyclic collection it ran."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    with _collector(True):
+        gc.collect()  # so that parsing argv cannot fill the youngest generation
+        gc.callbacks.append(count)
+        try:
+            assert main(argv) == EXIT_OK
+        finally:
+            gc.callbacks.remove(count)
+    return starts
+
+
+def test_analyze_and_approx_run_no_collection(capsys, tmp_path, deep_path):
+    # A sparse graph (average degree 4) on a planted perfect matching, its
+    # edges shuffled: the shape of the approx-sparse benchmark's inputs.
+    rng = random.Random(3)
+    n = 2000
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted(order[i : i + 2])) for i in range(0, n, 2)}
+    while len(edges) < 2 * n:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    sparse = tmp_path / "sparse.graph"
+    sparse.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert _collections_during(["analyze", *deep_path]) == []
+    assert _collections_during(["approx", str(sparse)]) == []
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"|M|={n // 2} ")
+
+
+def test_sweep_leaves_no_cycle_per_instance(capsys):
+    # The json encoder leaves one cycle per document, whatever its length;
+    # the solver must leave none per instance.
+    _build_parser()  # argparse leaves cycles the first time it is built
+
+    def unreachable_after(argv):
+        with _collector(False):
+            gc.collect()
+            assert main(argv) == EXIT_OK
+            return gc.collect()
+
+    assert unreachable_after(["sweep", "--count", "10"]) == unreachable_after(
+        ["sweep", "--count", "1"]
+    )
 
 
 def test_console_script_is_installed():

@@ -1,7 +1,9 @@
-"""The documented public surface: README's quick start and every ``__all__``."""
+"""The documented public surface: README's quick start, every ``__all__``,
+and entry points that leave no reference cycles."""
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 import re
@@ -10,6 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import qcolour as q
+from qcolour.analysis import analyse
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +56,47 @@ def test_every_all_entry_resolves(name):
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
     exec(f"from {name} import *", {})
+
+
+def test_public_entry_points_make_no_reference_cycles():
+    # qcolour.cli.main runs each command with the cyclic collector paused,
+    # so everything the library allocates must be freed by reference
+    # counting alone: no call may leave an unreachable cycle behind.
+    data = ROOT / "src" / "qcolour" / "data"
+    graph_text = (data / "fig5.graph").read_text()
+    matching_text = (data / "fig5.matching").read_text()
+    colouring_text = (data / "fig5_58.colouring").read_text()
+    g = q.parse_graph(graph_text)
+    m = q.parse_matching(matching_text, g)
+    col = q.parse_colouring(colouring_text, g)
+    small = q.named("cycle_4")
+    calls = {
+        "parse_graph": lambda: q.parse_graph(graph_text),
+        "parse_matching": lambda: q.parse_matching(matching_text, g),
+        "parse_colouring": lambda: q.parse_colouring(colouring_text, g),
+        "maximum_matching": lambda: q.maximum_matching(g),
+        "is_maximum": lambda: q.is_maximum(g, m),
+        "matching_based_colouring": lambda: q.matching_based_colouring(g),
+        "validate": lambda: q.validate(g, col, 2),
+        "optimal_colouring": lambda: q.optimal_colouring(small),
+        "optimal_colouring, budgeted": lambda: q.optimal_colouring(g, 2, 1000),
+        "oracle_optimal": lambda: q.oracle_optimal(small),
+        "anti_ramsey_star": lambda: q.anti_ramsey_star(small, 2),
+        "direct_anti_ramsey_star": lambda: q.direct_anti_ramsey_star(small, 2),
+        "analyse": lambda: analyse(g, m, col),
+        "random_with_perfect_matching": lambda: q.random_with_perfect_matching(10, 0.3, 1),
+        "random_triangle_free_with_pm": lambda: q.random_triangle_free_with_pm(10, 0.3, 1),
+        "fig5_lower_bound": q.fig5_lower_bound,
+    }
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, call in calls.items():
+            call()
+            left[name] = gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+    assert left == dict.fromkeys(calls, 0)
