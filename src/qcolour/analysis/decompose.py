@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..colouring import EdgeColouring, validate
-from ..graph import Component, Graph, components
+from ..graph import Component, EdgeSubset, Graph, components
 from ..matching import Matching, is_perfect
 
 
@@ -94,10 +94,18 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     search per class, along its own edges from an end of its first edge,
     proves it connected and gives a non-matching class's vertices; one
     ``components(g, m.edges)`` call and a scan of each component's edges
-    file the non-matching colours.
+    file the non-matching colours.  The decomposition holds ``m`` and
+    ``col`` over ``g`` itself, even when they were loaded over an equal
+    but separate graph.
     """
     if m.graph != g or col.graph != g:
         raise ValueError("matching/colouring belong to a different graph")
+    # An equal graph loaded separately costs one O(m) comparison, above:
+    # m and col are re-homed on g, so later stages compare g with itself.
+    if m.graph is not g:
+        m = Matching(EdgeSubset(g, m.edges.members))
+    if col.graph is not g:
+        col = EdgeColouring(g, col.colour)
     if g.m == 0:
         raise StructuralError("graph has no edges to colour")
     if not is_perfect(g, m):

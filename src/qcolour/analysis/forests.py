@@ -12,7 +12,6 @@ claimed exactly once, so the total leaf count over the sequence is k - 1.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from ..graph import Graph
@@ -28,46 +27,62 @@ class RootedTree:
     """A rooted tree on a subset of a graph's vertices.
 
     ``children`` is the tree's shape: the ordered children of each vertex
-    (a vertex without an entry has none).  ``parent`` and ``parent_edge``
-    (the graph edge from a vertex to its parent) are derived from it, and
-    so is ``postorder``, the per-tree vertex order: children precede
+    (a vertex without an entry has none).  ``parent`` is derived from it,
+    and so is ``postorder``, the per-tree vertex order: children precede
     parents and the root comes last, so larger index means closer to the
-    root.  Raises ``ValueError`` when ``root`` is not a vertex of ``graph``
-    or ``children`` is not a tree on edges of ``graph`` hanging from it.
+    root.  ``parent_edge`` maps each non-root vertex to the id of the graph
+    edge to its parent.  A caller that read those ids while growing the
+    tree, as the cascade's search does, passes them in, and each one must
+    name an edge joining the vertex to its parent; without them each is
+    looked up with :meth:`Graph.edge_id`.  Raises ``ValueError`` when
+    ``root`` is not a vertex of ``graph``, ``children`` is not a tree on
+    edges of ``graph`` hanging from it, or a given edge id is wrong.
     """
 
     graph: Graph
     root: int
     children: dict[int, tuple[int, ...]]
+    parent_edge: dict[int, int] = field(  # type: ignore[assignment]
+        default=None, repr=False, compare=False
+    )
     parent: dict[int, int] = field(init=False, repr=False, compare=False)
-    parent_edge: dict[int, int] = field(init=False, repr=False, compare=False)
     postorder: tuple[int, ...] = field(init=False)
     index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.root < self.graph.n:
-            raise ValueError(f"root {self.root} is not a vertex of the graph")
+        graph, root, children, given = self.graph, self.root, self.children, self.parent_edge
+        if not 0 <= root < graph.n:
+            raise ValueError(f"root {root} is not a vertex of the graph")
+        edges = graph.edges
         parent: dict[int, int] = {}
         parent_edge: dict[int, int] = {}
         post: list[int] = []
-        stack: list[tuple[int, int]] = [(self.root, 0)]
+        stack: list[tuple[int, int]] = [(root, 0)]
         while stack:
             v, i = stack.pop()
-            kids = self.children.get(v, ())
+            kids = children.get(v, ())
             if i < len(kids):
                 c = kids[i]
-                if c == self.root or c in parent:
+                if c == root or c in parent:
                     raise ValueError(f"vertex {c} is reached twice from the root")
-                eid = self.graph.edge_id(c, v)
-                if eid is None:
-                    raise ValueError(f"no edge joins {c} to its parent {v}")
+                if given is None:
+                    eid = graph.edge_id(c, v)
+                    if eid is None:
+                        raise ValueError(f"no edge joins {c} to its parent {v}")
+                else:
+                    eid = given.get(c)
+                    # c != v here, and a graph edge joins two distinct ends.
+                    if eid is None or not 0 <= eid < len(edges) or not (
+                        c in edges[eid] and v in edges[eid]
+                    ):
+                        raise ValueError(f"edge {eid} does not join {c} to its parent {v}")
                 parent[c] = v
                 parent_edge[c] = eid
                 stack.append((v, i + 1))
                 stack.append((c, 0))
             else:
                 post.append(v)
-        if not self.children.keys() <= parent.keys() | {self.root}:
+        if not children.keys() <= parent.keys() | {root}:
             raise ValueError("some vertex is cut off from the root")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "parent_edge", parent_edge)
@@ -75,12 +90,16 @@ class RootedTree:
         object.__setattr__(self, "index", {v: i for i, v in enumerate(post)})
 
     @classmethod
-    def build(cls, graph: Graph, root: int, parent: dict[int, int]) -> RootedTree:
-        """Assemble a tree from parent pointers, children in vertex-id order."""
-        kids: dict[int, list[int]] = {v: [] for v in (*parent, root)}
-        for v, p in parent.items():
-            kids.setdefault(p, []).append(v)
-        return cls(graph, root, {v: tuple(sorted(lst)) for v, lst in kids.items()})
+    def build(
+        cls, graph: Graph, root: int, parent: dict[int, int], parent_edge: dict | None = None
+    ) -> RootedTree:
+        """Assemble a tree from parent pointers, children in vertex-id
+        order; ``parent_edge`` is passed on as in the class."""
+        kids: dict[int, list[int]] = {root: []}
+        for v in sorted(parent):
+            kids.setdefault(v, [])
+            kids.setdefault(parent[v], []).append(v)
+        return cls(graph, root, {v: tuple(lst) for v, lst in kids.items()}, parent_edge)
 
     def reordered(self, last: dict[int, int]) -> RootedTree:
         """This tree with child ``last[v]`` moved to the end of the children
@@ -93,11 +112,7 @@ class RootedTree:
             if self.parent.get(t) != v:
                 raise ValueError(f"vertex {t} is not a child of {v}")
             kids[v] = tuple(c for c in kids[v] if c != t) + (t,)
-        return RootedTree(self.graph, self.root, kids)
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.postorder)
+        return RootedTree(self.graph, self.root, kids, self.parent_edge)
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(
@@ -199,9 +214,20 @@ class RootedForestSeq:
 
 def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     """Construct the forest sequence realizing the leaf-count identity
-    (k_i - 1 leaves per component).  Each tree is ordered and paired by one
-    :func:`tree_repetition_pairs` call as it is grown; the sequence keeps
-    both the ordered tree and its pairs.
+    (k_i - 1 leaves per component).  Each tree is built once, from the
+    parent pointers and edge ids its search read, then ordered and paired
+    by one :func:`tree_repetition_pairs` call; the sequence keeps both the
+    ordered tree and its pairs.
+
+    A round searches from its *live roots* and from the leaves of the round
+    before, in vertex order.  The live roots are the vertices of visited
+    classes that no tree uses yet, less the dead ones: a root is dead once
+    each of its non-matching neighbours is used or lies in a visited class,
+    and it is retired for good.  That is sound.  ``used`` and ``visited``
+    only grow, so a dead root stays dead, and its search would find no
+    neighbour to enter and add only the root itself to ``reached``.  A root
+    lies in a visited class, and no search enters a vertex of one, so
+    skipping it changes neither ``reached`` nor any later tree.
 
     Components are processed independently and their rounds merged
     positionally — trees from different components are vertex-disjoint, so
@@ -209,9 +235,10 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     :class:`UnanchoredComponentError` on a component with k_i = 0, and
     :class:`AnalysisInvariantError` if a round reaches no new class.
     """
-    from .repetition import tree_repetition_pairs
+    from . import repetition  # not at the top: it imports this module
 
     g = dec.graph
+    adjacency = g.adjacency
     in_matching = dec.matching.edges.members
     vertex_class = dec.vertex_class
     class_vertices: dict[int, list[int]] = {}
@@ -229,61 +256,67 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
         anchor = min(colours, key=lambda c: min(class_vertices[c]))
         visited = {anchor}
         used: set[int] = set()
+        live = set(class_vertices[anchor])
         prev_leaves: list[int] = []
         rounds: list[list[tuple]] = []
 
         while len(visited) < len(colours):
-            allowed = sorted(
-                {
-                    v
-                    for c in visited
-                    for v in class_vertices[c]
-                    if v not in used
-                }
-                | set(prev_leaves)
-            )
             reached: set[int] = set()
             claimed: dict[int, int] = {}
+            # Each vertex is reached at most once per round, by one search.
+            up: dict[int, int] = {}
+            up_edge: dict[int, int] = {}
             trees: list[tuple] = []
-            for r in allowed:
-                parent: dict[int, int] = {}
-                local = {r}
-                local_claims: dict[int, int] = {}
-                queue: deque[int] = deque([r])
-                while queue:
-                    x = queue.popleft()
-                    if x != r and x in vertex_class:
-                        continue  # a claimed leaf ends its branch
-                    for y, eid in g.adjacency[x]:
-                        if eid in in_matching or y in used or y in reached or y in local:
+            for r in sorted(live.union(prev_leaves)):
+                for y, eid in adjacency[r]:
+                    if not (eid in in_matching or y in used or vertex_class.get(y) in visited):
+                        break
+                else:
+                    live.discard(r)  # dead
+                    continue
+                reached.add(r)
+                claims: dict[int, int] = {}
+                # Only r and vertices in no class are queued: a claimed
+                # leaf ends its branch.
+                queue = [r]
+                for x in queue:
+                    for y, eid in adjacency[x]:
+                        if eid in in_matching or y in used or y in reached:
                             continue
                         cls = vertex_class.get(y)
                         if cls is None:
-                            parent[y] = x
-                            local.add(y)
                             queue.append(y)
-                        elif cls not in visited and cls not in claimed and cls not in local_claims:
-                            local_claims[cls] = y
-                            parent[y] = x
-                            local.add(y)
-                reached |= local
-                if not local_claims:
+                        elif cls in visited or cls in claimed or cls in claims:
+                            continue
+                        else:
+                            claims[cls] = y
+                        up[y] = x
+                        up_edge[y] = eid
+                        reached.add(y)
+                if not claims:
                     continue  # nothing new reachable from here; vertices stay free
-                keep = {r}
-                for leaf in local_claims.values():
-                    x = leaf
-                    while x not in keep:
-                        keep.add(x)
-                        x = parent[x]
-                raw = RootedTree.build(g, r, {v: parent[v] for v in keep if v != r})
-                trees.append(tree_repetition_pairs(raw, dec.colouring, dec.matching))
-                claimed.update(local_claims)
-                used |= keep
+                tree_up: dict[int, int] = {}
+                tree_edge: dict[int, int] = {}
+                for x in claims.values():
+                    while x != r and x not in tree_up:
+                        tree_up[x] = up[x]
+                        tree_edge[x] = up_edge[x]
+                        x = up[x]
+                raw = RootedTree.build(g, r, tree_up, tree_edge)
+                trees.append(repetition.tree_repetition_pairs(raw, dec.colouring, dec.matching))
+                claimed.update(claims)
+                used.add(r)
+                used.update(tree_up)
+                live.discard(r)
             if not claimed:
                 raise AnalysisInvariantError("cascade stalled before reaching every class")
             rounds.append(trees)
-            visited |= set(claimed)
-            prev_leaves = sorted(claimed.values())
+            visited.update(claimed)
+            prev_leaves = list(claimed.values())
+            # A newly reached class has no used vertex but its leaf.
+            for c in claimed:
+                live.update(class_vertices[c])
+            live.difference_update(prev_leaves)
         per_component.append(rounds)
 
     depth = max((len(r) for r in per_component), default=0)

@@ -25,6 +25,7 @@ import gc
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import analyse
@@ -89,7 +90,40 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` and a newline, byte for byte.  The
+    stdlib writes indented JSON with nested closures that form a reference
+    cycle per document; this writer makes none."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out``; ``newline`` breaks a line and indents
+    it to the level ``value`` opens at.  Dict keys must be strings."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (dict, list, tuple)):
+        opened, closed = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            out.append(opened + closed)
+            return
+        inner = newline + "  "
+        sep = opened + inner
+        if isinstance(value, dict):
+            entries = [(encode_basestring_ascii(key) + ": ", item) for key, item in value.items()]
+        else:
+            entries = [("", item) for item in value]
+        for label, item in entries:
+            out.append(sep + label)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + closed)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:  # None, a bool or a float
+        out.append(json.dumps(value))
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:

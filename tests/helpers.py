@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from qcolour import (
     ColouringFormatError,
@@ -16,7 +17,13 @@ from qcolour import (
     Matching,
     MatchingFormatError,
 )
-from qcolour.analysis import RootedTree
+from qcolour.analysis import (
+    AnalysisInvariantError,
+    RootedForestSeq,
+    RootedTree,
+    UnanchoredComponentError,
+    tree_repetition_pairs,
+)
 from qcolour.graph import MAX_VERTICES, InvalidEdgeError
 
 
@@ -173,6 +180,145 @@ def check_order_against_closure(seq) -> int:
             expect = after is not None and (x == y or y in after)
             assert seq.preceq(x, y) == expect, f"preceq({x}, {y}) should be {expect}"
     return n * n
+
+
+def reference_cascade(dec) -> RootedForestSeq:
+    """The cascading sequence of ``dec`` as first implemented: every round
+    rebuilds its roots from every vertex of every visited class, and
+    searches each of them, however long ago it stopped finding anything.
+    Kept to check that retiring dead roots changes no forest."""
+    g = dec.graph
+    in_matching = dec.matching.edges.members
+    vertex_class = dec.vertex_class
+    class_vertices: dict[int, list[int]] = {}
+    for v, c in vertex_class.items():
+        class_vertices.setdefault(c, []).append(v)
+    per_component = []
+    for comp, colours in zip(dec.gm_components, dec.component_colours):
+        if not colours:
+            raise UnanchoredComponentError("component has no non-matching colour class")
+        anchor = min(colours, key=lambda c: min(class_vertices[c]))
+        visited = {anchor}
+        used: set[int] = set()
+        prev_leaves: list[int] = []
+        rounds = []
+        while len(visited) < len(colours):
+            allowed = sorted(
+                {v for c in visited for v in class_vertices[c] if v not in used}
+                | set(prev_leaves)
+            )
+            reached: set[int] = set()
+            claimed: dict[int, int] = {}
+            trees = []
+            for r in allowed:
+                parent: dict[int, int] = {}
+                local = {r}
+                local_claims: dict[int, int] = {}
+                queue = deque([r])
+                while queue:
+                    x = queue.popleft()
+                    if x != r and x in vertex_class:
+                        continue
+                    for y, eid in g.adjacency[x]:
+                        if eid in in_matching or y in used or y in reached or y in local:
+                            continue
+                        cls = vertex_class.get(y)
+                        if cls is None:
+                            parent[y] = x
+                            local.add(y)
+                            queue.append(y)
+                        elif cls not in visited and cls not in claimed and cls not in local_claims:
+                            local_claims[cls] = y
+                            parent[y] = x
+                            local.add(y)
+                reached |= local
+                if not local_claims:
+                    continue
+                keep = {r}
+                for leaf in local_claims.values():
+                    x = leaf
+                    while x not in keep:
+                        keep.add(x)
+                        x = parent[x]
+                raw = RootedTree.build(g, r, {v: parent[v] for v in keep if v != r})
+                trees.append(tree_repetition_pairs(raw, dec.colouring, dec.matching))
+                claimed.update(local_claims)
+                used |= keep
+            if not claimed:
+                raise AnalysisInvariantError("cascade stalled before reaching every class")
+            rounds.append(trees)
+            visited |= set(claimed)
+            prev_leaves = sorted(claimed.values())
+        per_component.append(rounds)
+    depth = max((len(r) for r in per_component), default=0)
+    forests, tree_pairs = [], []
+    for i in range(depth):
+        merged = [found for rounds in per_component if i < len(rounds) for found in rounds[i]]
+        forests.append(tuple(tree for _, tree in merged))
+        tree_pairs.extend(pairs for pairs, _ in merged)
+    return RootedForestSeq(g, tuple(forests), tuple(tree_pairs))
+
+
+def cascade_shape(seq) -> list:
+    """Every tree of ``seq``, forest by forest, as its root, each vertex's
+    ordered children in postorder, and its pairs."""
+    pairs = iter(seq.tree_pairs)
+    return [
+        [
+            (t.root, tuple((v, t.children.get(v, ())) for v in t.postorder), next(pairs))
+            for t in forest
+        ]
+        for forest in seq.forests
+    ]
+
+
+def fig5_copies(k: int, rng: random.Random) -> tuple[Graph, Matching, EdgeColouring]:
+    """``k`` disjoint copies of the fig5 instance with its 58-colour
+    certificate, under one random vertex relabelling and edge order; each
+    copy keeps a palette of its own."""
+    from qcolour.instances import fig5_lower_bound
+
+    inst = fig5_lower_bound()
+    g0, col0 = inst.graph, inst.certified_colouring
+    n0 = g0.n
+    label = list(range(n0 * k))
+    rng.shuffle(label)
+    coloured = [
+        ((label[u + n0 * i], label[v + n0 * i]), (i, c))
+        for i in range(k)
+        for (u, v), c in zip(g0.edges, col0.colour)
+    ]
+    rng.shuffle(coloured)
+    g = Graph(n0 * k, tuple(e for e, _ in coloured))
+    m = Matching.from_edge_ids(
+        g,
+        [
+            g.edge_id(label[u + n0 * i], label[v + n0 * i])
+            for i in range(k)
+            for u, v in (g0.edges[eid] for eid in inst.matching.edges.members)
+        ],
+    )
+    return g, m, EdgeColouring.from_values(g, [c for _, c in coloured])
+
+
+def deep_path_instance(depth: int, rng: random.Random) -> tuple[Graph, Matching, EdgeColouring]:
+    """One path of ``depth`` edges between two one-edge non-matching
+    classes; path and pendant matching edges all wear one colour, so the
+    cascade grows a single tree of that depth.  Labels are shuffled."""
+    n = 2 * depth + 6
+    label = list(range(n))
+    rng.shuffle(label)
+    path, pendant = label[: depth + 1], label[depth + 1 : 2 * depth + 2]
+    b1, b1_mate, b2, b2_mate = label[2 * depth + 2 :]
+    coloured = [((path[i], path[i + 1]), "a") for i in range(depth)]
+    coloured += [((p, q), "a") for p, q in zip(path, pendant)]
+    coloured += [((path[0], b1), "x"), ((path[-1], b2), "y")]
+    coloured += [((b1, b1_mate), "c1"), ((b2, b2_mate), "c2")]
+    rng.shuffle(coloured)
+    g = Graph(n, tuple(e for e, _ in coloured))
+    matched = [*zip(path, pendant), (b1, b1_mate), (b2, b2_mate)]
+    m = Matching.from_edge_ids(g, [g.edge_id(u, v) for u, v in matched])
+    return g, m, EdgeColouring.from_values(g, [c for _, c in coloured])
 
 
 def random_pair_tree(

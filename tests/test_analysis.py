@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -16,6 +17,8 @@ from qcolour import (
     Graph,
     Matching,
     optimal_colouring,
+    parse_graph,
+    serialize_graph,
 )
 from qcolour.analysis import (
     AnalysisInvariantError,
@@ -45,12 +48,16 @@ from qcolour.instances import (
 )
 from helpers import (
     bfs_components,
+    cascade_shape,
     caterpillar_pair_tree,
     check_order_against_closure,
     check_pair_properties,
+    deep_path_instance,
+    fig5_copies,
     merge_disjoint_classes,
     random_pair_tree,
     random_valid_colouring,
+    reference_cascade,
     root_climb_path,
 )
 
@@ -242,6 +249,74 @@ def test_pairs_reject_a_tree_edge_in_the_matching():
         tree_repetition_pairs(tree, col, m)
 
 
+def _two_fault_tree(edges, matched, colours, parent, graph_n=None):
+    """A tree over ``edges`` (parent pointers ``parent``, rooted at 0),
+    with the edges at positions ``matched`` as the matching and one colour
+    value per edge.  ``graph_n`` puts the colouring on a different graph."""
+    g = Graph(1 + max(max(e) for e in edges), tuple(edges))
+    m = Matching.from_edge_ids(g, matched)
+    cg = g if graph_n is None else Graph(graph_n, tuple(edges))
+    return RootedTree.build(g, 0, parent), EdgeColouring.from_values(cg, colours), m
+
+
+# Each tree breaks two preconditions at once; the error names the fault
+# the checks reach first, and a rewrite of the checks must name the same.
+_TWO_FAULTS = {
+    "unmatched_and_bad_leaf": (
+        # Vertex 1 has no matching edge; leaf 2 hangs on a B edge but is matched in C.
+        ([(0, 1), (1, 2), (0, 3), (2, 4)], {2, 3}, "ABAC", {1: 0, 2: 1}),
+        (ValueError, "vertex 1 is not matched"),
+    ),
+    "bad_root_and_three_colours": (
+        # The root edge is X, not the root's A; vertex 1 meets X, B and C.
+        ([(0, 1), (1, 2), (1, 3), (0, 4), (1, 5), (2, 6), (3, 7)], {3, 4, 5, 6}, "XBCAXBC",
+         {1: 0, 2: 1, 3: 1}),
+        (ValueError, "every edge at the root must carry the root's matching colour"),
+    ),
+    "matching_tree_edge_and_three_colours": (
+        # Tree edge (1, 3) is the matching edge of 1 and 3; vertex 1 meets A, B and C.
+        ([(0, 1), (1, 2), (1, 3), (0, 4), (2, 5)], {2, 3, 4}, "ABCAB", {1: 0, 2: 1, 3: 1}),
+        (ValueError, "tree edge at vertex 3 is a matching edge"),
+    ),
+    "bad_root_and_bad_leaf": (
+        ([(0, 1), (0, 2), (1, 3)], {1, 2}, "XAB", {1: 0}),
+        (ValueError, "every edge at the root must carry the root's matching colour"),
+    ),
+    "two_bad_leaves": (
+        ([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)], {2, 3, 4}, "AAABC", {1: 0, 2: 0}),
+        (ValueError, "the edge at leaf 1 must carry the leaf's matching colour"),
+    ),
+    "bad_leaf_and_three_colours": (
+        ([(0, 1), (1, 2), (1, 3), (0, 4), (1, 5), (2, 6), (3, 7)], {3, 4, 5, 6}, "ABCAABD",
+         {1: 0, 2: 1, 3: 1}),
+        (ValueError, "the edge at leaf 3 must carry the leaf's matching colour"),
+    ),
+    "three_tree_colours_and_an_invalid_vertex": (
+        # Vertex 1 meets A, B and E; vertex 2 meets B and C but is matched in D.
+        ([(0, 1), (1, 2), (1, 5), (2, 3), (0, 4), (1, 6), (2, 7), (3, 8), (5, 9)],
+         {4, 5, 6, 7, 8}, "ABECAADCE", {1: 0, 2: 1, 5: 1, 3: 2}),
+        (ValueError, "vertex 1 sees three tree colours"),
+    ),
+    "one_vertex_and_unmatched": (
+        ([(0, 1), (1, 2)], {1}, "AB", {}),
+        (ValueError, "tree must contain at least one edge"),
+    ),
+    "other_graph_and_unmatched": (
+        ([(0, 1), (1, 2), (0, 3), (2, 4)], {2, 3}, "ABAC", {1: 0, 2: 1}, 6),
+        (ValueError, "tree, colouring and matching refer to different graphs"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_FAULTS))
+def test_pairs_name_the_first_of_two_faults(case):
+    args, (error, message) = _TWO_FAULTS[case]
+    tree, col, m = _two_fault_tree(*args)
+    with pytest.raises(Exception) as info:
+        tree_repetition_pairs(tree, col, m)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_pairs_on_random_paths_give_one_pair():
     rng = random.Random(424)
     for _ in range(120):
@@ -409,6 +484,60 @@ def test_cascade_leaf_count_identity_on_witnesses():
                     assert w not in class_vertices
 
 
+@functools.cache
+def _cascade_corpus() -> tuple:
+    """Decompositions the cascade is checked on: fig5 with 1-6 copies,
+    deep paths, the corpus of ANALYSIS_DIGEST, and the 300 random valid
+    colourings of the anchoring test."""
+    rng = random.Random(2121)
+    cases = [fig5_copies(k, rng) for k in range(1, 7)]
+    cases += [deep_path_instance(depth, rng) for depth in (1, 2, 7, 60, 400)]
+    for gen, sizes in (
+        (random_with_perfect_matching, (6, 8, 10)),
+        (random_triangle_free_with_pm, (8, 10, 12)),
+    ):
+        for n in sizes:
+            for seed in range(20):
+                inst = gen(n, 0.3, seed)
+                cases.append((inst.graph, inst.matching, optimal_colouring(inst.graph).witness))
+    fig5 = fig5_lower_bound()
+    cases.append((fig5.graph, fig5.matching, fig5.certified_colouring))
+    draws = _random_draws(random.Random(1910), 300, 40)
+    cases += [(inst.graph, inst.matching, col) for inst, col in draws]
+    return tuple(decompose(*case) for case in cases)
+
+
+def _shape_or_error(build, dec):
+    try:
+        return cascade_shape(build(dec))
+    except UnanchoredComponentError:
+        return "unanchored"
+
+
+def test_cascade_retires_no_root_that_could_still_grow_a_tree():
+    # The reference searches every root of every visited class in every
+    # round; retiring dead roots must leave every forest, child order and
+    # pair as it was.
+    unanchored = 0
+    for dec in _cascade_corpus():
+        expected = _shape_or_error(reference_cascade, dec)
+        assert _shape_or_error(build_cascading_sequence, dec) == expected
+        unanchored += expected == "unanchored"
+    assert (len(_cascade_corpus()), unanchored) == (432, 129)
+
+
+# SHA-256 of every tree's root, ordered children and pairs over the corpus
+# above, recorded with the cascade that searched every root every round.
+CASCADE_DIGEST = "9cf31000788fc96cee7419dcf0e5e96f21ebf54e2a37f226dd4823f2d10c11dd"
+
+
+def test_cascade_trees_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for dec in _cascade_corpus():
+        digest.update(repr(_shape_or_error(build_cascading_sequence, dec)).encode())
+    assert digest.hexdigest() == CASCADE_DIGEST
+
+
 def test_cascade_unanchored_component_is_reported():
     # A valid (but far from optimal) colouring can leave a residual
     # component whose edges all reuse matching colours; the cascade has
@@ -477,6 +606,24 @@ def test_rooted_tree_rejects_a_shape_that_is_not_a_tree():
     for root in (10**9, -1):
         with pytest.raises(ValueError, match=f"root {root} is not a vertex"):
             RootedTree(g, root, {})
+
+
+def test_rooted_tree_checks_the_edge_ids_it_is_given():
+    g = Graph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
+    parent = {1: 0, 2: 1, 3: 2}
+    looked_up = RootedTree.build(g, 0, parent)
+    given = RootedTree.build(g, 0, parent, {1: 0, 2: 1, 3: 3})
+    assert given == looked_up and given.parent_edge == looked_up.parent_edge == {1: 0, 2: 1, 3: 3}
+    for ids, bad in [
+        ({1: 0, 2: 2, 3: 3}, "edge 2 does not join 2 to its parent 1"),  # edge (2, 0)
+        ({1: 0, 3: 3}, "edge None does not join 2 to its parent 1"),
+        ({1: 0, 2: 1, 3: -1}, "edge -1 does not join 3 to its parent 2"),
+        ({1: 0, 2: 1, 3: 4}, "edge 4 does not join 3 to its parent 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            RootedTree.build(g, 0, parent, ids)
+    # Reordering carries the ids over, and they are checked again.
+    assert RootedTree.build(g, 1, {0: 1, 2: 1}).reordered({1: 0}).parent_edge == {0: 0, 2: 1}
 
 
 def test_reordered_moves_only_a_child_of_its_vertex():
@@ -669,6 +816,31 @@ def test_analysis_accepts_equal_graphs_from_separate_loads():
         collect_repetition_pairs(dec_b, seq_a).records
         == collect_repetition_pairs(dec_a, seq_a).records
     )
+
+
+def test_equal_graphs_are_compared_a_fixed_number_of_times(monkeypatch):
+    # A comparison of two separate graphs costs O(m); the analysis makes a
+    # fixed number of them, however many trees and colours there are.
+    calls = []
+    equal = Graph.__eq__
+
+    def counting_eq(self, other):
+        if self is not other:
+            calls.append(other)
+        return equal(self, other)
+
+    monkeypatch.setattr(Graph, "__eq__", counting_eq)
+    counts = []
+    for k in (1, 4):
+        g, m, col = fig5_copies(k, random.Random(k))
+        # Graphs parsed from the text share no object with g.
+        m2 = Matching.from_edge_ids(parse_graph(serialize_graph(g)), m.edges.members)
+        col2 = EdgeColouring(parse_graph(serialize_graph(g)), col.colour)
+        calls.clear()
+        report = analyse(g, m2, col2)
+        assert report.all_passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
 
 
 def _closed_form_rhs(report) -> dict[str, Fraction]:

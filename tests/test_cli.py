@@ -467,20 +467,58 @@ def test_analyze_and_approx_run_no_collection(capsys, tmp_path, deep_path):
     assert capsys.readouterr().out.splitlines()[-1].startswith(f"|M|={n // 2} ")
 
 
-def test_sweep_leaves_no_cycle_per_instance(capsys):
-    # The json encoder leaves one cycle per document, whatever its length;
-    # the solver must leave none per instance.
+def _unreachable_after(argv: list[str], code: int = EXIT_OK) -> int:
+    """Objects the cyclic collector finds after ``main(argv)``."""
     _build_parser()  # argparse leaves cycles the first time it is built
+    with _collector(False):
+        gc.collect()
+        assert main(argv) == code
+        return gc.collect()
 
-    def unreachable_after(argv):
-        with _collector(False):
-            gc.collect()
-            assert main(argv) == EXIT_OK
-            return gc.collect()
 
-    assert unreachable_after(["sweep", "--count", "10"]) == unreachable_after(
-        ["sweep", "--count", "1"]
-    )
+def test_sweep_leaves_no_cycle_per_instance(capsys):
+    # Neither the solver nor the JSON writer may leave a cycle, per
+    # instance or per document.
+    assert _unreachable_after(["sweep", "--count", "10"]) == 0
+    assert _unreachable_after(["sweep", "--count", "1"]) == 0
+
+
+def _json_commands(square: Path, tmp_path: Path) -> list[tuple[list[str], int]]:
+    """One call of every subcommand that writes JSON, with its exit code,
+    covering null, floats and empty lists."""
+    broken = tmp_path / "broken.colouring"
+    broken.write_text("0 1 0\n0 3 1\n1 2 2\n2 3 3\n")
+    return [
+        (["exact", str(square)], EXIT_OK),
+        (["exact", str(FIG5), "--budget", "200"], EXIT_INCOMPLETE),
+        (["verify", str(FIG5), str(FIG5_CERT)], EXIT_OK),
+        (["verify", str(square), str(broken), "--q", "1"], EXIT_FAILED),
+        (["analyze", str(FIG5), str(FIG5_MATCHING), str(FIG5_CERT)], EXIT_OK),
+        (["sweep", "--count", "2", "--sizes", "6,8", "--p", "0.35"], EXIT_OK),
+        (["sweep", "--count", "0"], EXIT_OK),
+        (["sweep", "--family", "tf", "--count", "2", "--budget", "3"], EXIT_OK),
+    ]
+
+
+def test_json_commands_leave_no_cycle(capsys, square, tmp_path):
+    for argv, code in _json_commands(square, tmp_path):
+        assert (argv, _unreachable_after(argv, code)) == (argv, 0)
+
+
+def test_json_output_is_what_the_stdlib_indent_encoder_writes(capsys, square, tmp_path):
+    kinds = set()
+    for argv, code in _json_commands(square, tmp_path):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n", argv
+        stack = [doc]
+        while stack:
+            value = stack.pop()
+            kinds.add("empty" if value in ([], {}) else type(value).__name__)
+            if isinstance(value, (dict, list)):
+                stack.extend(value.values() if isinstance(value, dict) else value)
+    assert kinds >= {"NoneType", "float", "empty", "bool", "int", "str", "list", "dict"}
 
 
 def test_console_script_is_installed():
