@@ -10,8 +10,11 @@ graph with one shared colour, giving |M| + h colours total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .graph import Graph, components, read_records, record_lines
+from .graph import Graph, read_records, record_lines
+# components is not called here; bench/tracing.py probes it here.
+from .graph import components  # noqa: F401
 from .matching import Matching, maximum_matching
 
 
@@ -23,9 +26,9 @@ class ColouringFormatError(ValueError):
 class EdgeColouring:
     """An assignment of a colour to every edge of a graph.
 
-    Stored in canonical form: colours are the integers ``0..c-1``, numbered
-    by first appearance in edge-id order.  ``from_values`` relabels arbitrary
-    hashable colour values into this form.
+    Stored in canonical form: colours are the ``int`` values ``0..c-1``,
+    numbered by first appearance in edge-id order.  ``from_values`` relabels
+    arbitrary hashable colour values into this form.
     """
 
     graph: Graph
@@ -37,6 +40,9 @@ class EdgeColouring:
             raise ValueError(
                 f"expected {self.graph.m} colour entries, got {len(self.colour)}"
             )
+        if not set(map(type, self.colour)) <= {int}:
+            bad = next(c for c in self.colour if type(c) is not int)
+            raise ValueError(f"colour {bad!r} is not an int")
         nxt = 0
         for c in self.colour:
             if c == nxt:
@@ -109,23 +115,41 @@ def matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matching, int]:
     """The approximation algorithm for q = 2.
 
     Computes a maximum matching M, gives each matching edge its own colour,
-    and gives each edge-containing component of the leftover graph one shared
-    fresh colour.  Returns ``(colouring, matching, h)`` where h is the number
-    of those components; the palette size is ``|M| + h``.
+    and gives each edge-containing component of G − M one shared fresh
+    colour.  Returns ``(colouring, matching, h)`` where h is the number of
+    those components; the palette size is ``|M| + h``.
+
+    One search over the adjacency rows, skipping each vertex's own
+    matching edge, labels every vertex with the least vertex of its
+    component of G − M.  Each edge is then keyed by ``~eid`` if it is a
+    matching edge and by its endpoints' label otherwise, and colours number
+    the keys by first appearance in edge-id order.
     """
     if g.m == 0:
         raise ValueError("graph has no edges to colour")
     m = maximum_matching(g)
-    # Each edge names the edge that opens its colour: a matching edge opens
-    # its own, a component's edges share that component's lowest edge id.
-    opener = list(range(g.m))
-    h = 0
-    for comp in components(g, m.edges):
-        if comp.has_edges:
-            h += 1
-            for eid in comp.edge_ids:
-                opener[eid] = comp.edge_ids[0]
-    return EdgeColouring.from_values(g, opener), m, h
+    adj, mate_edge = g.adjacency, m.mate_edge
+    label = [-1] * g.n
+    for s in range(g.n):
+        if label[s] < 0:
+            label[s] = s
+            reached = [s]
+            for v in reached:  # grows while it is read
+                skip = mate_edge[v]
+                for w, eid in adj[v]:
+                    if label[w] < 0 and eid != skip:
+                        label[w] = s
+                        reached.append(w)
+    key = [label[u] for u, _ in g.edges]
+    for eid in m.edges.members:
+        key[eid] = ~eid
+    number = {k: c for c, k in enumerate(dict.fromkeys(key))}
+    # Through a list, so the tuple is made at its final length.  A tuple
+    # built from a map is made at a guessed length and resized, so small
+    # tuples leave one free list and pile up on another: the resident set
+    # of a process running many small requests kept growing.
+    colouring = EdgeColouring(g, tuple(list(map(number.__getitem__, key))))
+    return colouring, m, len(number) - m.size
 
 
 def parse_colouring(text: str, g: Graph) -> EdgeColouring:
@@ -155,8 +179,12 @@ def parse_colouring(text: str, g: Graph) -> EdgeColouring:
 
 
 def serialize_colouring(col: EdgeColouring) -> str:
-    g = col.graph
-    lines = [
-        f"{u} {v} {col.colour[eid]}" for eid, (u, v) in enumerate(g.edges)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One ``u v colour`` line per edge in edge-id order, LF line endings;
+    :func:`parse_colouring` reads it back.
+
+    Two ``%`` formats write the whole document: the first fills every
+    line's endpoints from the flat edge list and leaves a ``%d`` for its
+    colour, the second fills the colours.  This is faster than one format
+    over flat ``(u, v, colour)`` triples, and it builds no list of them."""
+    lines = ("%d %d %%d\n" * col.graph.m) % tuple(chain.from_iterable(col.graph.edges))
+    return lines % tuple(col.colour)

@@ -65,7 +65,7 @@ class Graph:
                 raise InvalidEdgeError(eid, f"duplicates edge {first}: ({u}, {v})")
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        object.__setattr__(self, "adjacency", tuple(tuple(row) for row in adj))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
         object.__setattr__(self, "_ids", ids)
 
     @property
@@ -82,7 +82,8 @@ class Graph:
 
 @dataclass(frozen=True)
 class EdgeSubset:
-    """A set of edge ids over a parent graph."""
+    """A set of edge ids over a parent graph.  Every id is an ``int`` in
+    ``0..m-1``."""
 
     graph: Graph
     members: frozenset[int]
@@ -90,6 +91,9 @@ class EdgeSubset:
     def __post_init__(self) -> None:
         members = frozenset(self.members)
         object.__setattr__(self, "members", members)
+        if not set(map(type, members)) <= {int}:
+            bad = min((eid for eid in members if type(eid) is not int), key=repr)
+            raise ValueError(f"edge id {bad!r} is not an int")
         if members:
             low, high = min(members), max(members)
             if low < 0 or high >= self.graph.m:

@@ -110,10 +110,13 @@ def _searcher(g: Graph, match: list[int]):
         q: deque[int] = deque([root])
         while q:
             v = q.popleft()
+            mate_v = match[v]  # match is never written during a search
             for to, _eid in adj[v]:
-                if base[v] == base[to] or match[v] == to:
+                # base[v] is re-read: a contraction below may move it.
+                if base[v] == base[to] or mate_v == to:
                     continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                mate_to = match[to]
+                if to == root or (mate_to != -1 and p[mate_to] != -1):
                     cur = lca(v, to)
                     bases: set[int] = set()
                     mark_path(v, cur, to, bases)
@@ -132,11 +135,11 @@ def _searcher(g: Graph, match: list[int]):
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)
-                    if match[to] == -1:
+                    if mate_to == -1:
                         return to
-                    used[match[to]] = True
-                    touched.append(match[to])
-                    q.append(match[to])
+                    used[mate_to] = True
+                    touched.append(mate_to)
+                    q.append(mate_to)
         return -1
 
     return search, p
@@ -168,7 +171,15 @@ def maximum_matching(g: Graph) -> Matching:
                 match[pv] = end
                 end = nxt
 
-    ids = {g.edge_id(v, match[v]) for v in range(n) if v < match[v]}
+    # Each matched pair's edge id, read from the lower endpoint's row.
+    adj = g.adjacency
+    ids = []
+    for v, w in enumerate(match):
+        if v < w:
+            for to, eid in adj[v]:
+                if to == w:
+                    ids.append(eid)
+                    break
     return Matching.from_edge_ids(g, ids)
 
 

@@ -16,6 +16,8 @@ from qcolour import (
     GraphFormatError,
     Matching,
     MatchingFormatError,
+    components,
+    maximum_matching,
 )
 from qcolour.analysis import (
     AnalysisInvariantError,
@@ -116,6 +118,23 @@ def relabelled_union(parts: list[Graph], isolated: int, rng: random.Random) -> G
         offset += p.n
     rng.shuffle(edges)
     return Graph(n, tuple(edges))
+
+
+def reference_matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matching, int]:
+    """The approximation as first implemented: ``components`` lists G − M,
+    each edge names the edge that opens its colour (a matching edge its
+    own, a component's edges that component's lowest edge id), and
+    ``from_values`` numbers the openers.  Kept to check that labelling
+    G − M in one search changes no colour."""
+    m = maximum_matching(g)
+    opener = list(range(g.m))
+    h = 0
+    for comp in components(g, m.edges):
+        if comp.has_edges:
+            h += 1
+            for eid in comp.edge_ids:
+                opener[eid] = comp.edge_ids[0]
+    return EdgeColouring.from_values(g, opener), m, h
 
 
 def sparse_planted_pm_graph(n: int, avg_degree: float, rng: random.Random) -> Graph:

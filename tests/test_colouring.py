@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcolour import (
     ColouringFormatError,
@@ -17,7 +18,12 @@ from qcolour import (
 )
 from qcolour.analysis import matched_colour_map
 from qcolour.instances import named
-from helpers import random_graph, sparse_planted_pm_graph
+from helpers import (
+    random_graph,
+    reference_matching_based_colouring,
+    relabelled_union,
+    sparse_planted_pm_graph,
+)
 
 
 def test_constructor_requires_canonical_colours():
@@ -28,6 +34,15 @@ def test_constructor_requires_canonical_colours():
         EdgeColouring(g, (1, 0))
     with pytest.raises(ValueError, match="colour entries"):
         EdgeColouring(g, (0,))
+
+
+@pytest.mark.parametrize(
+    "colour, bad", [((False, True), "False"), ((0.0, 1.0), "0.0"), ((0, True), "True")]
+)
+def test_constructor_rejects_colours_that_are_not_ints(colour, bad):
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=f"^colour {bad} is not an int$"):
+        EdgeColouring(g, colour)
 
 
 def test_from_values_relabels_by_first_appearance():
@@ -135,6 +150,26 @@ def test_algorithm_output_is_always_valid_and_sized():
         assert validate(g, col, 2).valid
 
 
+def test_algorithm_equals_the_components_reference():
+    """Isolated vertices, several components of G − M with edges, and a
+    G − M with no edges at all are each met at least once."""
+    rng = random.Random(23)
+    graphs = [named("cycle_6"), Graph(6, ((0, 1), (2, 3), (4, 5))), Graph(7, ((2, 5),))]
+    for _ in range(150):
+        parts = [random_graph(rng.randint(1, 7), rng.uniform(0.2, 0.8), rng)
+                 for _ in range(rng.randint(1, 4))]
+        graphs.append(relabelled_union(parts, rng.randint(0, 3), rng))
+    seen = set()
+    for g in graphs:
+        if g.m == 0:
+            continue
+        col, m, h = matching_based_colouring(g)
+        assert (col, m, h) == reference_matching_based_colouring(g)
+        seen.add("isolated" if any(g.degree(v) == 0 for v in range(g.n)) else "none isolated")
+        seen.add(min(h, 2))
+    assert seen == {"isolated", "none isolated", 0, 1, 2}
+
+
 # SHA-256 of ``(|M|, h)`` and the serialized colouring over
 # ``_pinned_fixtures``, recorded before the leftover graph was labelled in a
 # single pass: the approximation must colour every edge as it did.
@@ -181,6 +216,28 @@ def test_parse_serialize_round_trip():
     text = serialize_colouring(col)
     assert text == "0 1 0\n0 3 1\n1 2 0\n2 3 2\n"
     assert parse_colouring(text, g) == col
+
+
+def _line_writer(col: EdgeColouring) -> str:
+    """The colouring writer as first implemented: one f-string per edge."""
+    lines = [f"{u} {v} {col.colour[eid]}" for eid, (u, v) in enumerate(col.graph.edges)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@given(st.integers(0, 12), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_serialize_equals_the_line_writer_and_round_trips(n, palette, rnd):
+    g = random_graph(n, 0.4, rnd)
+    col = EdgeColouring.from_values(g, [rnd.randrange(palette) for _ in g.edges])
+    text = serialize_colouring(col)
+    assert text == _line_writer(col)
+    assert parse_colouring(text, g) == col
+
+
+def test_serialize_edgeless_graph_is_empty():
+    g = Graph(4, ())
+    col = EdgeColouring(g, ())
+    assert serialize_colouring(col) == "" == _line_writer(col)
+    assert parse_colouring("", g) == col
 
 
 def test_parse_colouring_canonicalizes_arbitrary_labels():

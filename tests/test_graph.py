@@ -11,6 +11,7 @@ from qcolour import (
     EdgeSubset,
     Graph,
     GraphFormatError,
+    Matching,
     components,
     is_triangle_free,
     parse_graph,
@@ -156,6 +157,15 @@ def test_edge_subset_rejects_out_of_range_ids(ids, bad):
     with pytest.raises(ValueError, match=f"^edge id {bad} out of range$"):
         EdgeSubset(g, ids)
     assert EdgeSubset(g, set()).members == frozenset()
+
+
+@pytest.mark.parametrize("ids, bad", [({1.0}, "1.0"), ({True}, "True"), ({"1"}, "'1'"), ({0, 2.0}, "2.0")])
+def test_edge_subset_rejects_ids_that_are_not_ints(ids, bad):
+    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    with pytest.raises(ValueError, match=f"^edge id {bad} is not an int$"):
+        EdgeSubset(g, ids)
+    with pytest.raises(ValueError, match=f"^edge id {bad} is not an int$"):
+        Matching.from_edge_ids(g, ids)
 
 
 def test_triangle_detection():
