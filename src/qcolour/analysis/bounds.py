@@ -188,9 +188,8 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
         _entry("cross_colour_interior_disjoint", rp.interior_clashes, 0, "==")
     )
 
-    entries.append(
-        _entry("total_vs_matching_repetition", c, msize - total_rp + cn, "<=")
-    )
+    # Twin of matching_colour_budget: both sides plus cn, as c = cm + cn.
+    entries.append(_entry("total_vs_matching_repetition", c, msize - total_rp + cn, "<="))
 
     rhs = sum(len(cp.records) - cp.matched for cp in high) + sum(
         len(cp.records) - 1 for cp in low
@@ -245,6 +244,7 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
             )
         )
 
+        # Twin of total_vs_pair_counts, as n_low = n_low_large + n_low_small.
         entries.append(
             _entry(
                 "total_vs_pair_counts_split",

@@ -31,29 +31,23 @@ class RootedTree:
     and so is ``postorder``, the per-tree vertex order: children precede
     parents and the root comes last, so larger index means closer to the
     root.  ``parent_edge`` maps each non-root vertex to the id of the graph
-    edge to its parent.  A caller that read those ids while growing the
-    tree, as the cascade's search does, passes them in, and each one must
-    name an edge joining the vertex to its parent; without them each is
-    looked up with :meth:`Graph.edge_id`.  Raises ``ValueError`` when
-    ``root`` is not a vertex of ``graph``, ``children`` is not a tree on
-    edges of ``graph`` hanging from it, or a given edge id is wrong.
+    edge to its parent, looked up with :meth:`Graph.edge_id`.  Raises
+    ``ValueError`` when ``root`` is not a vertex of ``graph`` or
+    ``children`` is not a tree on edges of ``graph`` hanging from it.
     """
 
     graph: Graph
     root: int
     children: dict[int, tuple[int, ...]]
-    parent_edge: dict[int, int] = field(  # type: ignore[assignment]
-        default=None, repr=False, compare=False
-    )
     parent: dict[int, int] = field(init=False, repr=False, compare=False)
+    parent_edge: dict[int, int] = field(init=False, repr=False, compare=False)
     postorder: tuple[int, ...] = field(init=False)
     index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        graph, root, children, given = self.graph, self.root, self.children, self.parent_edge
+        graph, root, children = self.graph, self.root, self.children
         if not 0 <= root < graph.n:
             raise ValueError(f"root {root} is not a vertex of the graph")
-        edges = graph.edges
         parent: dict[int, int] = {}
         parent_edge: dict[int, int] = {}
         post: list[int] = []
@@ -65,17 +59,9 @@ class RootedTree:
                 c = kids[i]
                 if c == root or c in parent:
                     raise ValueError(f"vertex {c} is reached twice from the root")
-                if given is None:
-                    eid = graph.edge_id(c, v)
-                    if eid is None:
-                        raise ValueError(f"no edge joins {c} to its parent {v}")
-                else:
-                    eid = given.get(c)
-                    # c != v here, and a graph edge joins two distinct ends.
-                    if eid is None or not 0 <= eid < len(edges) or not (
-                        c in edges[eid] and v in edges[eid]
-                    ):
-                        raise ValueError(f"edge {eid} does not join {c} to its parent {v}")
+                eid = graph.edge_id(c, v)
+                if eid is None:
+                    raise ValueError(f"no edge joins {c} to its parent {v}")
                 parent[c] = v
                 parent_edge[c] = eid
                 stack.append((v, i + 1))
@@ -90,16 +76,13 @@ class RootedTree:
         object.__setattr__(self, "index", {v: i for i, v in enumerate(post)})
 
     @classmethod
-    def build(
-        cls, graph: Graph, root: int, parent: dict[int, int], parent_edge: dict | None = None
-    ) -> RootedTree:
-        """Assemble a tree from parent pointers, children in vertex-id
-        order; ``parent_edge`` is passed on as in the class."""
+    def build(cls, graph: Graph, root: int, parent: dict[int, int]) -> RootedTree:
+        """Assemble a tree from parent pointers, children in vertex-id order."""
         kids: dict[int, list[int]] = {root: []}
         for v in sorted(parent):
             kids.setdefault(v, [])
             kids.setdefault(parent[v], []).append(v)
-        return cls(graph, root, {v: tuple(lst) for v, lst in kids.items()}, parent_edge)
+        return cls(graph, root, {v: tuple(lst) for v, lst in kids.items()})
 
     def reordered(self, last: dict[int, int]) -> RootedTree:
         """This tree with child ``last[v]`` moved to the end of the children
@@ -112,7 +95,7 @@ class RootedTree:
             if self.parent.get(t) != v:
                 raise ValueError(f"vertex {t} is not a child of {v}")
             kids[v] = tuple(c for c in kids[v] if c != t) + (t,)
-        return RootedTree(self.graph, self.root, kids, self.parent_edge)
+        return RootedTree(self.graph, self.root, kids)
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(
@@ -215,9 +198,9 @@ class RootedForestSeq:
 def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     """Construct the forest sequence realizing the leaf-count identity
     (k_i - 1 leaves per component).  Each tree is built once, from the
-    parent pointers and edge ids its search read, then ordered and paired
-    by one :func:`tree_repetition_pairs` call; the sequence keeps both the
-    ordered tree and its pairs.
+    parent pointers its search set, then ordered and paired by one
+    :func:`tree_repetition_pairs` call; the sequence keeps both the ordered
+    tree and its pairs.
 
     A round searches from its *live roots* and from the leaves of the round
     before, in vertex order.  The live roots are the vertices of visited
@@ -249,8 +232,9 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
 
     for comp, colours in zip(dec.gm_components, dec.component_colours):
         if not colours:
+            more = "..." if len(comp.vertices) > 4 else ""
             raise UnanchoredComponentError(
-                f"component with vertices {comp.vertices[:4]}... has no "
+                f"component with vertices {comp.vertices[:4]}{more} has no "
                 "non-matching colour class"
             )
         anchor = min(colours, key=lambda c: min(class_vertices[c]))
@@ -265,7 +249,6 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
             claimed: dict[int, int] = {}
             # Each vertex is reached at most once per round, by one search.
             up: dict[int, int] = {}
-            up_edge: dict[int, int] = {}
             trees: list[tuple] = []
             for r in sorted(live.union(prev_leaves)):
                 for y, eid in adjacency[r]:
@@ -291,18 +274,15 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
                         else:
                             claims[cls] = y
                         up[y] = x
-                        up_edge[y] = eid
                         reached.add(y)
                 if not claims:
                     continue  # nothing new reachable from here; vertices stay free
                 tree_up: dict[int, int] = {}
-                tree_edge: dict[int, int] = {}
                 for x in claims.values():
                     while x != r and x not in tree_up:
                         tree_up[x] = up[x]
-                        tree_edge[x] = up_edge[x]
                         x = up[x]
-                raw = RootedTree.build(g, r, tree_up, tree_edge)
+                raw = RootedTree.build(g, r, tree_up)
                 trees.append(repetition.tree_repetition_pairs(raw, dec.colouring, dec.matching))
                 claimed.update(claims)
                 used.add(r)

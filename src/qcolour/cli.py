@@ -35,7 +35,7 @@ from .colouring import (
     serialize_colouring,
     validate,
 )
-from .exact import optimal_colouring
+from .exact import EXACT_EDGE_LIMIT, optimal_colouring
 from .graph import Graph, parse_graph
 from .instances import random_triangle_free_with_pm, random_with_perfect_matching
 from .matching import parse_matching
@@ -186,6 +186,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     if any(n < 2 or n % 2 for n in sizes):
         raise _UsageError("--sizes entries must be even and at least 2")
+    limit = 2 * EXACT_EDGE_LIMIT  # both families plant a perfect matching, of n / 2 edges
+    if any(n > limit for n in sizes):
+        raise _UsageError(f"--sizes entries must be at most {limit} for the exact search")
 
     generator = (
         random_with_perfect_matching if args.family == "pm" else random_triangle_free_with_pm

@@ -171,16 +171,7 @@ def maximum_matching(g: Graph) -> Matching:
                 match[pv] = end
                 end = nxt
 
-    # Each matched pair's edge id, read from the lower endpoint's row.
-    adj = g.adjacency
-    ids = []
-    for v, w in enumerate(match):
-        if v < w:
-            for to, eid in adj[v]:
-                if to == w:
-                    ids.append(eid)
-                    break
-    return Matching.from_edge_ids(g, ids)
+    return Matching.from_edge_ids(g, [g.edge_id(v, w) for v, w in enumerate(match) if v < w])
 
 
 def is_maximum(g: Graph, m: Matching) -> bool:

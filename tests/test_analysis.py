@@ -609,20 +609,12 @@ def test_rooted_tree_rejects_a_shape_that_is_not_a_tree():
 
 
 def test_rooted_tree_checks_the_edge_ids_it_is_given():
+    # The ids come from Graph.edge_id, whichever way the tree is assembled.
     g = Graph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
-    parent = {1: 0, 2: 1, 3: 2}
-    looked_up = RootedTree.build(g, 0, parent)
-    given = RootedTree.build(g, 0, parent, {1: 0, 2: 1, 3: 3})
-    assert given == looked_up and given.parent_edge == looked_up.parent_edge == {1: 0, 2: 1, 3: 3}
-    for ids, bad in [
-        ({1: 0, 2: 2, 3: 3}, "edge 2 does not join 2 to its parent 1"),  # edge (2, 0)
-        ({1: 0, 3: 3}, "edge None does not join 2 to its parent 1"),
-        ({1: 0, 2: 1, 3: -1}, "edge -1 does not join 3 to its parent 2"),
-        ({1: 0, 2: 1, 3: 4}, "edge 4 does not join 3 to its parent 2"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{bad}$"):
-            RootedTree.build(g, 0, parent, ids)
-    # Reordering carries the ids over, and they are checked again.
+    assert RootedTree.build(g, 0, {1: 0, 2: 1, 3: 2}).parent_edge == {1: 0, 2: 1, 3: 3}
+    assert RootedTree(g, 0, {0: (1,), 1: (2,), 2: (3,)}).parent_edge == {1: 0, 2: 1, 3: 3}
+    with pytest.raises(TypeError):
+        RootedTree(g, 0, {0: (1,)}, parent_edge={1: 0})
     assert RootedTree.build(g, 1, {0: 1, 2: 1}).reordered({1: 0}).parent_edge == {0: 0, 2: 1}
 
 
@@ -779,6 +771,20 @@ def test_bound_report_json_is_deterministic():
 ANALYSIS_DIGEST = "99fb766ec51a3423ab20819fcef32775feec03f2cdda88080b1bc9f7b7baabeb"
 
 
+def _assert_duplicate_relations_agree(report):
+    """Two relations of the chain restate others: c = cm + cn makes
+    total_vs_matching_repetition the matching colour budget with cn added to
+    both sides, and n_low = n_low_large + n_low_small makes the split pair
+    count bound the unsplit one."""
+    budget = report.entry("matching_colour_budget")
+    total = report.entry("total_vs_matching_repetition")
+    assert total.rhs_num - total.lhs_num == budget.rhs_num - budget.lhs_num
+    if report.triangle_free:
+        pair = report.entry("total_vs_pair_counts")
+        split = report.entry("total_vs_pair_counts_split")
+        assert (split.lhs_num, split.rhs_num, split.den) == (pair.lhs_num, pair.rhs_num, pair.den)
+
+
 def test_bound_reports_match_the_pinned_digest():
     digest = hashlib.sha256()
     high_and_delta = 0
@@ -789,13 +795,15 @@ def test_bound_reports_match_the_pinned_digest():
         for n in sizes:
             for seed in range(20):
                 inst = gen(n, 0.3, seed)
-                doc = analyse(
-                    inst.graph, inst.matching, optimal_colouring(inst.graph).witness
-                ).to_json_dict()
+                report = analyse(inst.graph, inst.matching, optimal_colouring(inst.graph).witness)
+                _assert_duplicate_relations_agree(report)
+                doc = report.to_json_dict()
                 high_and_delta += doc["high_colours"] > 0 and doc["delta"] > 0
                 digest.update(f"{gen.__name__} {n} {seed}: {json.dumps(doc)}\n".encode())
     fig5 = fig5_lower_bound()
-    doc = analyse(fig5.graph, fig5.matching, fig5.certified_colouring).to_json_dict()
+    report = analyse(fig5.graph, fig5.matching, fig5.certified_colouring)
+    _assert_duplicate_relations_agree(report)
+    doc = report.to_json_dict()
     digest.update(f"fig5: {json.dumps(doc)}\n".encode())
     # The corpus must reach the high-colour branch and its matched pairs.
     assert high_and_delta > 0
@@ -972,6 +980,7 @@ def test_random_valid_colourings_are_unanchored_or_pass_every_relation():
             unanchored += 1
             continue
         assert report.all_passed
+        _assert_duplicate_relations_agree(report)
         analysed += 1
         paired += report.paired_colours > 0
     assert (analysed, unanchored, paired) == (171, 129, 119)

@@ -206,6 +206,31 @@ def test_analyze_names_a_disconnected_colour_class(capsys, tmp_path):
         assert capsys.readouterr() == ("", f"error: colour class {c} is disconnected\n")
 
 
+@pytest.mark.parametrize(
+    "extra, shown",
+    [
+        # G - M is the 2-vertex path 1-2, coloured with matching colour 1.
+        ((), "(1, 2)"),
+        # G - M is the star at 2 with leaves 0, 1, 4 and 5, all colour 1.
+        (((2, 4, 1), (2, 0, 1), (2, 5, 1)), "(0, 1, 2, 4)..."),
+    ],
+)
+def test_unanchored_component_message_marks_only_a_cut(capsys, tmp_path, extra, shown):
+    rows = [(0, 1, 0), (2, 3, 1), (4, 5, 2), (1, 2, 1), *extra]
+    texts = [
+        f"6 {len(rows)}\n" + "".join(f"{u} {v}\n" for u, v, _ in rows),
+        "0 1\n2 3\n4 5\n",
+        "".join(f"{u} {v} {c}\n" for u, v, c in rows),
+    ]
+    paths = [tmp_path / "g.graph", tmp_path / "g.matching", tmp_path / "g.colouring"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    assert main(["analyze", *map(str, paths)]) == EXIT_STRUCTURAL
+    assert capsys.readouterr() == (
+        "", f"error: component with vertices {shown} has no non-matching colour class\n"
+    )
+
+
 def test_failed_analysis_invariant_is_a_structural_error(capsys, monkeypatch):
     # A tree that reports its first pair twice breaks the lemma that first
     # coordinates are distinct, which the pair collection checks.
@@ -330,11 +355,28 @@ def test_sweep_empty_and_budget_exhausted(capsys):
     assert all(r["status"] == "incomplete" for r in doc["rows"])
 
 
-def test_sweep_rejects_bad_sizes(capsys):
+def test_sweep_rejects_bad_sizes(capsys, monkeypatch):
     assert main(["sweep", "--sizes", "3,4"]) == EXIT_USAGE
     assert main(["sweep", "--sizes", "4,x"]) == EXIT_USAGE
     assert main(["sweep", "--count", "-1"]) == EXIT_USAGE
     assert main(["sweep", "--p", "2.0"]) == EXIT_USAGE
+    capsys.readouterr()
+
+    # Beyond 1000 vertices the planted perfect matching alone has more edges
+    # than the exact search takes, so no instance is generated, even for 8.
+    def no_generation(*args):
+        raise AssertionError("an instance was generated")
+
+    for name in ("random_with_perfect_matching", "random_triangle_free_with_pm"):
+        monkeypatch.setitem(main.__globals__, name, no_generation)
+    for family, size, count in [("pm", "1002", "1"), ("tf", str(10**6), "1"), ("pm", "1002", "0")]:
+        argv = ["sweep", "--family", family, "--sizes", f"8,{size}", "--count", count]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: --sizes entries must be at most {2 * EXACT_EDGE_LIMIT} "
+            "for the exact search\n"
+        )
+    assert main(["sweep", "--sizes", "1000", "--count", "0"]) == EXIT_OK
 
 
 def test_sweep_rejects_negative_budget_before_any_work(capsys, monkeypatch):
