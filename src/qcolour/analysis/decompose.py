@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..colouring import EdgeColouring, validate
-from ..graph import Component, EdgeSubset, Graph, components
-from ..matching import Matching, is_perfect
+from ..graph import Component, EdgeSubset, Graph
+# components is not called here; bench/tracing.py probes it here.
+from ..graph import components  # noqa: F401
+from ..matching import Matching, complement_labels, is_perfect
 
 
 class StructuralError(ValueError):
@@ -92,11 +94,13 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     subclass when the matching is not perfect, the colouring is invalid for
     q = 2, or some colour class is disconnected (naming the lowest).  One
     search per class, along its own edges from an end of its first edge,
-    proves it connected and gives a non-matching class's vertices; one
-    ``components(g, m.edges)`` call and a scan of each component's edges
-    file the non-matching colours.  The decomposition holds ``m`` and
-    ``col`` over ``g`` itself, even when they were loaded over an equal
-    but separate graph.
+    proves it connected and gives a non-matching class's vertices.
+    :func:`~qcolour.matching.complement_labels` labels G − M; one pass
+    over the non-matching edges and one over the vertices whose label owns
+    an edge build the edge-containing components, and a scan of each
+    component's edges files the non-matching colours.  The decomposition
+    holds ``m`` and ``col`` over ``g`` itself, even when they were loaded
+    over an equal but separate graph.
     """
     if m.graph != g or col.graph != g:
         raise ValueError("matching/colouring belong to a different graph")
@@ -152,10 +156,22 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
         if c not in c_m:
             vertex_class.update(dict.fromkeys(seen, c))
 
+    # A component of G minus M is keyed by its label, its least vertex, so
+    # the vertex pass meets the components in min-vertex order.
+    label = complement_labels(m)
+    mate_edge = m.mate_edge
+    comp_edges: dict[int, list[int]] = {}
+    for eid, (u, _) in enumerate(g.edges):
+        if mate_edge[u] != eid:
+            comp_edges.setdefault(label[u], []).append(eid)
+    comp_verts: dict[int, list[int]] = {}
+    for v, r in enumerate(label):
+        if r in comp_edges:
+            comp_verts.setdefault(r, []).append(v)
+    gm_comps = tuple([Component(tuple(vs), tuple(comp_edges[r])) for r, vs in comp_verts.items()])
     # A connected non-matching class lies inside one component of G minus M,
     # so a scan of each component's edges files it there; canonical colours
     # come out of that scan in increasing order.
-    gm_comps = tuple(comp for comp in components(g, m.edges) if comp.has_edges)
     comp_colours = tuple(
         tuple(c for c in dict.fromkeys(colour[eid] for eid in comp.edge_ids) if c not in c_m)
         for comp in gm_comps

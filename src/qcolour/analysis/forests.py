@@ -50,13 +50,15 @@ class RootedTree:
             raise ValueError(f"root {root} is not a vertex of the graph")
         parent: dict[int, int] = {}
         parent_edge: dict[int, int] = {}
-        post: list[int] = []
-        stack: list[tuple[int, int]] = [(root, 0)]
+        # A preorder that enters the last child first; reversed, it lists
+        # every subtree in child order before its root.  Each vertex's
+        # children are checked when it is popped, before any is entered.
+        pre: list[int] = []
+        stack = [root]
         while stack:
-            v, i = stack.pop()
-            kids = children.get(v, ())
-            if i < len(kids):
-                c = kids[i]
+            v = stack.pop()
+            pre.append(v)
+            for c in children.get(v, ()):
                 if c == root or c in parent:
                     raise ValueError(f"vertex {c} is reached twice from the root")
                 eid = graph.edge_id(c, v)
@@ -64,10 +66,8 @@ class RootedTree:
                     raise ValueError(f"no edge joins {c} to its parent {v}")
                 parent[c] = v
                 parent_edge[c] = eid
-                stack.append((v, i + 1))
-                stack.append((c, 0))
-            else:
-                post.append(v)
+                stack.append(c)
+        post = pre[::-1]
         if not children.keys() <= parent.keys() | {root}:
             raise ValueError("some vertex is cut off from the root")
         object.__setattr__(self, "parent", parent)
@@ -304,6 +304,9 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     tree_pairs: list[tuple[tuple[int, int], ...]] = []
     for i in range(depth):
         merged = [found for rounds in per_component if i < len(rounds) for found in rounds[i]]
-        forests.append(tuple(tree for _, tree in merged))
+        # Through a list, so the tuple is made at its final length: one
+        # resized from a generator left the resident set growing over
+        # many requests.
+        forests.append(tuple([tree for _, tree in merged]))
         tree_pairs.extend(pairs for pairs, _ in merged)
     return RootedForestSeq(graph=g, forests=tuple(forests), tree_pairs=tuple(tree_pairs))

@@ -15,7 +15,7 @@ from itertools import chain
 from .graph import Graph, read_records, record_lines
 # components is not called here; bench/tracing.py probes it here.
 from .graph import components  # noqa: F401
-from .matching import Matching, maximum_matching
+from .matching import Matching, complement_labels, maximum_matching
 
 
 class ColouringFormatError(ValueError):
@@ -119,27 +119,16 @@ def matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matching, int]:
     colour.  Returns ``(colouring, matching, h)`` where h is the number of
     those components; the palette size is ``|M| + h``.
 
-    One search over the adjacency rows, skipping each vertex's own
-    matching edge, labels every vertex with the least vertex of its
-    component of G − M.  Each edge is then keyed by ``~eid`` if it is a
-    matching edge and by its endpoints' label otherwise, and colours number
-    the keys by first appearance in edge-id order.
+    :func:`~qcolour.matching.complement_labels` labels every vertex with
+    the least vertex of its component of G − M.  Each edge is then keyed
+    by ``~eid`` if it is a matching edge and by its endpoints' label
+    otherwise, and colours number the keys by first appearance in edge-id
+    order.
     """
     if g.m == 0:
         raise ValueError("graph has no edges to colour")
     m = maximum_matching(g)
-    adj, mate_edge = g.adjacency, m.mate_edge
-    label = [-1] * g.n
-    for s in range(g.n):
-        if label[s] < 0:
-            label[s] = s
-            reached = [s]
-            for v in reached:  # grows while it is read
-                skip = mate_edge[v]
-                for w, eid in adj[v]:
-                    if label[w] < 0 and eid != skip:
-                        label[w] = s
-                        reached.append(w)
+    label = complement_labels(m)
     key = [label[u] for u, _ in g.edges]
     for eid in m.edges.members:
         key[eid] = ~eid

@@ -65,7 +65,9 @@ class Graph:
                 raise InvalidEdgeError(eid, f"duplicates edge {first}: ({u}, {v})")
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        # Through a list, so the tuple is made at its final length, as in
+        # matching_based_colouring.
+        object.__setattr__(self, "adjacency", tuple([tuple(row) for row in adj]))
         object.__setattr__(self, "_ids", ids)
 
     @property

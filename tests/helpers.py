@@ -11,6 +11,7 @@ from collections import deque
 
 from qcolour import (
     ColouringFormatError,
+    Component,
     EdgeColouring,
     Graph,
     GraphFormatError,
@@ -135,6 +136,52 @@ def reference_matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matchin
             for eid in comp.edge_ids:
                 opener[eid] = comp.edge_ids[0]
     return EdgeColouring.from_values(g, opener), m, h
+
+
+def reference_gm_components(
+    g: Graph, m: Matching, col: EdgeColouring
+) -> tuple[tuple[Component, ...], tuple[tuple[int, ...], ...]]:
+    """``decompose``'s ``gm_components`` and ``component_colours`` as first
+    implemented: the edge-containing entries of ``components(g, m.edges)``,
+    and the non-matching colours met scanning each one's edges.  Kept to
+    check that building them from one labelling of G − M changes neither."""
+    colour = col.colour
+    matching_colours = {colour[eid] for eid in m.edges.members}
+    comps = tuple(comp for comp in components(g, m.edges) if comp.has_edges)
+    colours = tuple(
+        tuple(
+            c for c in dict.fromkeys(colour[eid] for eid in comp.edge_ids)
+            if c not in matching_colours
+        )
+        for comp in comps
+    )
+    return comps, colours
+
+
+def reference_tree_walk(
+    graph: Graph, root: int, children: dict[int, tuple[int, ...]]
+) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
+    """``(parent, parent_edge, postorder)`` of a valid tree shape by the
+    ``(vertex, index)`` stack ``RootedTree`` first walked it with: the
+    walk enters child ``i`` of a vertex, then resumes the vertex at
+    ``i + 1``, and lists the vertex once its children are done.  Kept to
+    check that reversing a preorder gives the same tree."""
+    parent: dict[int, int] = {}
+    parent_edge: dict[int, int] = {}
+    post: list[int] = []
+    stack = [(root, 0)]
+    while stack:
+        v, i = stack.pop()
+        kids = children.get(v, ())
+        if i < len(kids):
+            c = kids[i]
+            parent[c] = v
+            parent_edge[c] = graph.edge_id(c, v)
+            stack.append((v, i + 1))
+            stack.append((c, 0))
+        else:
+            post.append(v)
+    return parent, parent_edge, tuple(post)
 
 
 def sparse_planted_pm_graph(n: int, avg_degree: float, rng: random.Random) -> Graph:

@@ -58,6 +58,8 @@ from helpers import (
     random_pair_tree,
     random_valid_colouring,
     reference_cascade,
+    reference_gm_components,
+    reference_tree_walk,
     root_climb_path,
 )
 
@@ -538,6 +540,13 @@ def test_cascade_trees_match_the_pinned_digest():
     assert digest.hexdigest() == CASCADE_DIGEST
 
 
+def test_decompose_lists_g_minus_m_as_the_union_find_does():
+    # The corpus includes the unanchored draws: decompose files them too.
+    for dec in _cascade_corpus():
+        expected = reference_gm_components(dec.graph, dec.matching, dec.colouring)
+        assert (dec.gm_components, dec.component_colours) == expected
+
+
 def test_cascade_unanchored_component_is_reported():
     # A valid (but far from optimal) colouring can leave a residual
     # component whose edges all reuse matching colours; the cascade has
@@ -616,6 +625,70 @@ def test_rooted_tree_checks_the_edge_ids_it_is_given():
     with pytest.raises(TypeError):
         RootedTree(g, 0, {0: (1,)}, parent_edge={1: 0})
     assert RootedTree.build(g, 1, {0: 1, 2: 1}).reordered({1: 0}).parent_edge == {0: 0, 2: 1}
+
+
+# Each shape holds two faults.  The walk checks all of a vertex's children
+# when it reaches the vertex, before entering any of them, and enters the
+# last child first; the first fault it meets is named.
+@pytest.mark.parametrize(
+    "children, message",
+    [
+        # Vertex 1 comes back under the first child; 3 is no neighbour of 0.
+        ({0: (1, 3), 1: (2,), 2: (1,)}, "no edge joins 3 to its parent 0"),
+        # 3 is no neighbour of 1, and 2 none of 0.
+        ({0: (1, 2), 1: (3,)}, "no edge joins 2 to its parent 0"),
+        # 2 is no neighbour of 0 and comes back under the second child.
+        ({0: (2, 1), 1: (2,)}, "no edge joins 2 to its parent 0"),
+        # The root comes back under the first child, 4 under the last.
+        ({0: (1, 4), 1: (2,), 2: (0,), 4: (4,)}, "vertex 4 is reached twice"),
+        # Vertex 1 comes back under itself and among the root's children.
+        ({0: (1, 4, 1), 1: (2,), 2: (1,)}, "vertex 1 is reached twice"),
+        # 3 is no neighbour of 1, and 6 is cut off from the root.
+        ({0: (1,), 6: (5,), 1: (3,)}, "no edge joins 3 to its parent 1"),
+        # Vertex 1 is listed twice, and 3 is cut off from the root.
+        ({0: (1, 1), 3: (2,)}, "vertex 1 is reached twice"),
+    ],
+)
+def test_rooted_tree_names_the_first_fault_its_walk_meets(children, message):
+    g = Graph(7, ((0, 1), (1, 2), (2, 3), (0, 4), (1, 5), (2, 6)))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        RootedTree(g, 0, children)
+
+
+def _assert_tree_matches_the_walk(tree):
+    parent, parent_edge, postorder = reference_tree_walk(tree.graph, tree.root, tree.children)
+    assert (tree.parent, tree.parent_edge, tree.postorder) == (parent, parent_edge, postorder)
+    assert tree.index == {v: i for i, v in enumerate(postorder)}
+
+
+def test_rooted_tree_orders_vertices_as_the_index_walk_does():
+    # Random trees inside larger graphs, children in random order, each
+    # then reordered at random vertices.
+    rng = random.Random(3131)
+    for _ in range(200):
+        n = rng.randrange(1, 60)
+        order = list(range(n))
+        rng.shuffle(order)
+        size = rng.randrange(1, n + 1)
+        up = {order[i]: order[rng.randrange(i)] for i in range(1, size)}
+        edges = {(min(v, p), max(v, p)) for v, p in up.items()}
+        for _ in range(n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        edges = sorted(edges)
+        rng.shuffle(edges)
+        g = Graph(n, tuple(edges))
+        kids: dict[int, list[int]] = {order[0]: []}
+        for v, p in up.items():
+            kids.setdefault(p, []).append(v)
+        for lst in kids.values():
+            rng.shuffle(lst)
+        tree = RootedTree(g, order[0], {v: tuple(lst) for v, lst in kids.items()})
+        _assert_tree_matches_the_walk(tree)
+        inner = [v for v, lst in kids.items() if lst]
+        last = {v: rng.choice(kids[v]) for v in rng.sample(inner, len(inner) // 2)}
+        _assert_tree_matches_the_walk(tree.reordered(last))
 
 
 def test_reordered_moves_only_a_child_of_its_vertex():
