@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..colouring import EdgeColouring, validate
-from ..graph import Component, EdgeSubset, Graph
+from ..graph import Component, EdgeSubset, Graph, component_labels
 # components is not called here; bench/tracing.py probes it here.
 from ..graph import components  # noqa: F401
-from ..matching import Matching, complement_labels, is_perfect
+from ..matching import Matching, is_perfect
 
 
 class StructuralError(ValueError):
@@ -95,7 +95,7 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     q = 2, or some colour class is disconnected (naming the lowest).  One
     search per class, along its own edges from an end of its first edge,
     proves it connected and gives a non-matching class's vertices.
-    :func:`~qcolour.matching.complement_labels` labels G − M; one pass
+    :func:`~qcolour.graph.component_labels` labels G − M; one pass
     over the non-matching edges and one over the vertices whose label owns
     an edge build the edge-containing components, and a scan of each
     component's edges files the non-matching colours.  The decomposition
@@ -158,7 +158,7 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
 
     # A component of G minus M is keyed by its label, its least vertex, so
     # the vertex pass meets the components in min-vertex order.
-    label = complement_labels(m)
+    label = component_labels(g, m.edges)
     mate_edge = m.mate_edge
     comp_edges: dict[int, list[int]] = {}
     for eid, (u, _) in enumerate(g.edges):

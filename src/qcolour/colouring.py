@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .graph import Graph, read_records, record_lines
+from .graph import Graph, component_labels, read_records, record_lines
 # components is not called here; bench/tracing.py probes it here.
 from .graph import components  # noqa: F401
-from .matching import Matching, complement_labels, maximum_matching
+from .matching import Matching, maximum_matching
 
 
 class ColouringFormatError(ValueError):
@@ -119,8 +119,8 @@ def matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matching, int]:
     colour.  Returns ``(colouring, matching, h)`` where h is the number of
     those components; the palette size is ``|M| + h``.
 
-    :func:`~qcolour.matching.complement_labels` labels every vertex with
-    the least vertex of its component of G − M.  Each edge is then keyed
+    :func:`~qcolour.graph.component_labels` labels every vertex with the
+    least vertex of its component of G − M.  Each edge is then keyed
     by ``~eid`` if it is a matching edge and by its endpoints' label
     otherwise, and colours number the keys by first appearance in edge-id
     order.
@@ -128,7 +128,7 @@ def matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matching, int]:
     if g.m == 0:
         raise ValueError("graph has no edges to colour")
     m = maximum_matching(g)
-    label = complement_labels(m)
+    label = component_labels(g, m.edges)
     key = [label[u] for u, _ in g.edges]
     for eid in m.edges.members:
         key[eid] = ~eid

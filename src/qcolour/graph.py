@@ -125,6 +125,31 @@ class Component:
         return bool(self.edge_ids)
 
 
+def component_labels(g: Graph, drop: EdgeSubset | None = None) -> list[int]:
+    """``label[v]`` is the least vertex of ``v``'s component of ``g`` minus
+    the edges of ``drop``; ``drop=None`` keeps all edges.
+
+    One search over the adjacency rows from each unlabelled vertex in id
+    order, skipping the dropped edge ids: the search that labels a
+    component starts at its least vertex.
+    """
+    if drop is not None and drop.graph != g:
+        raise ValueError("edge subset belongs to a different graph")
+    skip = frozenset() if drop is None else drop.members
+    adj = g.adjacency
+    label = [-1] * g.n
+    for s in range(g.n):
+        if label[s] < 0:
+            label[s] = s
+            reached = [s]
+            for v in reached:  # grows while it is read
+                for w, eid in adj[v]:
+                    if label[w] < 0 and eid not in skip:
+                        label[w] = s
+                        reached.append(w)
+    return label
+
+
 def components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
     """Connected components of ``g`` minus the edges of ``drop``.
 
@@ -132,41 +157,20 @@ def components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
     form singletons).  ``drop=None`` keeps all edges.  Components are listed
     by minimum vertex id; within one, vertices and edge ids are ascending, so
     the output is independent of edge order.  Both come out of scans in id
-    order after one union-find pass over the kept edges; nothing is sorted.
+    order, grouped by :func:`component_labels`; nothing is sorted.
     """
-    if drop is not None and drop.graph != g:
-        raise ValueError("edge subset belongs to a different graph")
-    kept = range(g.m) if drop is None else [e for e in range(g.m) if e not in drop.members]
-    edges = g.edges
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in kept:
-        u, v = edges[eid]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    # where[v] is the index of v's component; a root is reached first at its
-    # component's minimum vertex, so components are numbered in that order.
-    where = [-1] * g.n
-    verts: list[list[int]] = []
-    for v in range(g.n):
-        r = find(v)
-        if where[r] < 0:
-            where[r] = len(verts)
-            verts.append([])
-        where[v] = where[r]
-        verts[where[v]].append(v)
-    eids: list[list[int]] = [[] for _ in verts]
-    for eid in kept:
-        eids[where[edges[eid][0]]].append(eid)
-    return [Component(tuple(vs), tuple(es)) for vs, es in zip(verts, eids)]
+    label = component_labels(g, drop)
+    skip = frozenset() if drop is None else drop.members
+    # A label is its component's least vertex, so the vertex scan meets the
+    # components in that order.
+    verts: dict[int, list[int]] = {}
+    for v, r in enumerate(label):
+        verts.setdefault(r, []).append(v)
+    eids: dict[int, list[int]] = {r: [] for r in verts}
+    for eid, (u, _) in enumerate(g.edges):
+        if eid not in skip:
+            eids[label[u]].append(eid)
+    return [Component(tuple(vs), tuple(eids[r])) for r, vs in verts.items()]
 
 
 def is_triangle_free(g: Graph) -> bool:

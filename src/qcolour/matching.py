@@ -188,30 +188,6 @@ def is_maximum(g: Graph, m: Matching) -> bool:
     return all(search(v) == -1 for v in range(g.n) if match[v] == -1)
 
 
-def complement_labels(m: Matching) -> list[int]:
-    """``label[v]`` is the least vertex of ``v``'s component of G − M, where
-    G is ``m.graph`` and M the edges of ``m``.
-
-    One search over the adjacency rows from each unlabelled vertex in id
-    order, skipping each vertex's own matching edge: the search that
-    labels a component starts at its least vertex.
-    """
-    g = m.graph
-    adj, mate_edge = g.adjacency, m.mate_edge
-    label = [-1] * g.n
-    for s in range(g.n):
-        if label[s] < 0:
-            label[s] = s
-            reached = [s]
-            for v in reached:  # grows while it is read
-                skip = mate_edge[v]
-                for w, eid in adj[v]:
-                    if label[w] < 0 and eid != skip:
-                        label[w] = s
-                        reached.append(w)
-    return label
-
-
 def is_perfect(g: Graph, m: Matching) -> bool:
     if m.graph != g:
         raise ValueError("matching belongs to a different graph")

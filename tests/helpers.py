@@ -13,11 +13,11 @@ from qcolour import (
     ColouringFormatError,
     Component,
     EdgeColouring,
+    EdgeSubset,
     Graph,
     GraphFormatError,
     Matching,
     MatchingFormatError,
-    components,
     maximum_matching,
 )
 from qcolour.analysis import (
@@ -96,6 +96,45 @@ def bfs_components(g: Graph, drop: frozenset[int] = frozenset()) -> list[set[int
     return out
 
 
+def union_find_components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
+    """``components`` as first implemented: one union-find pass over the
+    kept edges, then scans in id order.  Kept to check that grouping by
+    ``component_labels`` changes no component."""
+    if drop is not None and drop.graph != g:
+        raise ValueError("edge subset belongs to a different graph")
+    kept = range(g.m) if drop is None else [e for e in range(g.m) if e not in drop.members]
+    edges = g.edges
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for eid in kept:
+        u, v = edges[eid]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+
+    # where[v] is the index of v's component; a root is reached first at its
+    # component's minimum vertex, so components are numbered in that order.
+    where = [-1] * g.n
+    verts: list[list[int]] = []
+    for v in range(g.n):
+        r = find(v)
+        if where[r] < 0:
+            where[r] = len(verts)
+            verts.append([])
+        where[v] = where[r]
+        verts[where[v]].append(v)
+    eids: list[list[int]] = [[] for _ in verts]
+    for eid in kept:
+        eids[where[edges[eid][0]]].append(eid)
+    return [Component(tuple(vs), tuple(es)) for vs, es in zip(verts, eids)]
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = tuple(
         (u, v)
@@ -122,7 +161,7 @@ def relabelled_union(parts: list[Graph], isolated: int, rng: random.Random) -> G
 
 
 def reference_matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matching, int]:
-    """The approximation as first implemented: ``components`` lists G − M,
+    """The approximation as first implemented: the union-find lists G − M,
     each edge names the edge that opens its colour (a matching edge its
     own, a component's edges that component's lowest edge id), and
     ``from_values`` numbers the openers.  Kept to check that labelling
@@ -130,7 +169,7 @@ def reference_matching_based_colouring(g: Graph) -> tuple[EdgeColouring, Matchin
     m = maximum_matching(g)
     opener = list(range(g.m))
     h = 0
-    for comp in components(g, m.edges):
+    for comp in union_find_components(g, m.edges):
         if comp.has_edges:
             h += 1
             for eid in comp.edge_ids:
@@ -142,12 +181,13 @@ def reference_gm_components(
     g: Graph, m: Matching, col: EdgeColouring
 ) -> tuple[tuple[Component, ...], tuple[tuple[int, ...], ...]]:
     """``decompose``'s ``gm_components`` and ``component_colours`` as first
-    implemented: the edge-containing entries of ``components(g, m.edges)``,
-    and the non-matching colours met scanning each one's edges.  Kept to
-    check that building them from one labelling of G − M changes neither."""
+    implemented: the edge-containing entries of the union-find's components
+    of G − M, and the non-matching colours met scanning each one's edges.
+    Kept to check that building them from one labelling of G − M changes
+    neither."""
     colour = col.colour
     matching_colours = {colour[eid] for eid in m.edges.members}
-    comps = tuple(comp for comp in components(g, m.edges) if comp.has_edges)
+    comps = tuple(comp for comp in union_find_components(g, m.edges) if comp.has_edges)
     colours = tuple(
         tuple(
             c for c in dict.fromkeys(colour[eid] for eid in comp.edge_ids)

@@ -14,11 +14,13 @@ from qcolour import (
     Matching,
     components,
     is_triangle_free,
+    maximum_matching,
     parse_graph,
     serialize_graph,
 )
-from qcolour.graph import InvalidEdgeError
-from helpers import bfs_components, random_graph
+from qcolour.graph import InvalidEdgeError, component_labels
+from qcolour.instances import named
+from helpers import bfs_components, random_graph, relabelled_union, union_find_components
 
 
 def test_rejects_self_loop():
@@ -113,35 +115,79 @@ def test_components_respect_edge_restriction():
 
 
 def test_components_agree_with_bfs_reference():
+    # Random graphs, the empty graph, and shuffled disjoint unions with
+    # isolated vertices; each against breadth-first search for the vertex
+    # sets and against the union-find it replaced, Component for Component.
     rng = random.Random(23)
+    cases = []
     for _ in range(300):
         n = rng.randint(0, 30)
         g = random_graph(n, rng.uniform(0.3, 3.0) / max(n, 1), rng)
         dropped = frozenset(eid for eid in range(g.m) if rng.random() < 0.4)
-        drop = EdgeSubset(g, dropped) if rng.random() < 0.8 else None
+        cases.append((g, EdgeSubset(g, dropped) if rng.random() < 0.8 else None))
+    empty = Graph(0, ())
+    cases += [(empty, None), (empty, EdgeSubset(empty, frozenset()))]
+    for _ in range(40):
+        parts = [random_graph(rng.randrange(2, 9), 0.4, rng) for _ in range(rng.randrange(1, 4))]
+        g = relabelled_union(parts, rng.randrange(1, 4), rng)
+        dropped = frozenset(eid for eid in range(g.m) if rng.random() < 0.3)
+        cases.append((g, EdgeSubset(g, dropped) if rng.random() < 0.8 else None))
+    for g, drop in cases:
+        dropped = frozenset() if drop is None else drop.members
         comps = components(g, drop)
-        expected = bfs_components(g, dropped if drop is not None else frozenset())
-        assert [set(c.vertices) for c in comps] == expected
+        assert comps == union_find_components(g, drop)
+        assert [set(c.vertices) for c in comps] == bfs_components(g, dropped)
         where = {v: i for i, c in enumerate(comps) for v in c.vertices}
         for c in comps:
             assert list(c.vertices) == sorted(c.vertices)
             assert list(c.edge_ids) == sorted(c.edge_ids)
         assert [c.vertices[0] for c in comps] == sorted(c.vertices[0] for c in comps)
         kept = [eid for c in comps for eid in c.edge_ids]
-        assert sorted(kept) == [
-            eid for eid in range(g.m) if drop is None or eid not in dropped
-        ]
+        assert sorted(kept) == [eid for eid in range(g.m) if eid not in dropped]
         for i, c in enumerate(comps):
             for eid in c.edge_ids:
                 u, v = g.edges[eid]
                 assert where[u] == where[v] == i
 
 
+def test_component_labels_name_the_least_vertex_of_each_component():
+    # Reference: breadth-first search of g minus the dropped edges, each
+    # component labelled by its least vertex.  Each graph drops its maximum
+    # matching M, a random edge subset that need not be a matching, and
+    # nothing.  Isolated vertices label themselves, and a graph that is its
+    # own matching leaves G minus M without edges (h = 0).
+    rng = random.Random(2424)
+    graphs = [Graph(0, ()), Graph(3, ()), Graph(4, ((0, 1), (2, 3))), named("cycle_4")]
+    for _ in range(150):
+        n = rng.randrange(1, 25)
+        graphs.append(random_graph(n, rng.choice([0.05, 0.15, 0.4]), rng))
+    for _ in range(30):
+        parts = [random_graph(rng.randrange(2, 9), 0.4, rng) for _ in range(rng.randrange(1, 4))]
+        graphs.append(relabelled_union(parts, rng.randrange(0, 4), rng))
+    without_edges = not_matchings = 0
+    for g in graphs:
+        m = maximum_matching(g)
+        subset = EdgeSubset(g, frozenset(eid for eid in range(g.m) if rng.random() < 0.5))
+        not_matchings += len(subset) > m.size
+        for drop in (m.edges, subset, None):
+            dropped = frozenset() if drop is None else drop.members
+            expected = [-1] * g.n
+            comps = bfs_components(g, dropped)
+            for comp in comps:
+                for v in comp:
+                    expected[v] = min(comp)
+            assert component_labels(g, drop) == expected
+        without_edges += g.m > 0 and len(bfs_components(g, m.edges.members)) == g.n
+    assert without_edges > 0
+    assert not_matchings > 0
+
+
 def test_components_rejects_subset_of_another_graph():
     g = Graph(3, ((0, 1), (1, 2)))
     other = Graph(3, ((0, 1),))
-    with pytest.raises(ValueError, match="^edge subset belongs to a different graph$"):
-        components(g, EdgeSubset(other, frozenset({0})))
+    for search in (components, component_labels):
+        with pytest.raises(ValueError, match="^edge subset belongs to a different graph$"):
+            search(g, EdgeSubset(other, frozenset({0})))
 
 
 def test_edge_subset_membership_and_order():

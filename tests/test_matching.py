@@ -17,12 +17,9 @@ from qcolour import (
     serialize_matching,
 )
 from qcolour.instances import named
-from qcolour.matching import complement_labels
 from helpers import (
-    bfs_components,
     brute_force_matching_size,
     random_graph,
-    relabelled_union,
     sparse_planted_pm_graph,
 )
 
@@ -116,31 +113,6 @@ def test_maximum_agrees_with_brute_force_on_random_graphs():
 # SHA-256 of the sorted matching edge ids over ``_pinned_fixtures``, recorded
 # before the search state was made incremental: the output must not change.
 PINNED_MATCHING_DIGEST = "3dfa14a6764be735a5f2cc30e0815a7b55d84cd516a3ad0c14c72ab6848bde5f"
-
-
-def test_complement_labels_name_the_least_vertex_of_each_component():
-    # Reference: breadth-first search of G minus M, each component labelled
-    # by its least vertex.  Isolated vertices label themselves, and a graph
-    # that is its own matching leaves G minus M without edges (h = 0).
-    rng = random.Random(2424)
-    graphs = [Graph(0, ()), Graph(3, ()), Graph(4, ((0, 1), (2, 3))), named("cycle_4")]
-    for _ in range(150):
-        n = rng.randrange(1, 25)
-        graphs.append(random_graph(n, rng.choice([0.05, 0.15, 0.4]), rng))
-    for _ in range(30):
-        parts = [random_graph(rng.randrange(2, 9), 0.4, rng) for _ in range(rng.randrange(1, 4))]
-        graphs.append(relabelled_union(parts, rng.randrange(0, 4), rng))
-    without_edges = 0
-    for g in graphs:
-        m = maximum_matching(g)
-        expected = [-1] * g.n
-        comps = bfs_components(g, m.edges.members)
-        for comp in comps:
-            for v in comp:
-                expected[v] = min(comp)
-        assert complement_labels(m) == expected
-        without_edges += g.m > 0 and len(comps) == g.n
-    assert without_edges > 0
 
 
 def _pinned_fixtures():

@@ -15,6 +15,7 @@ import pytest
 
 import qcolour as q
 from qcolour.analysis import analyse
+from qcolour.graph import component_labels
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +77,9 @@ def test_public_entry_points_make_no_reference_cycles():
         "parse_colouring": lambda: q.parse_colouring(colouring_text, g),
         "maximum_matching": lambda: q.maximum_matching(g),
         "is_maximum": lambda: q.is_maximum(g, m),
+        "components": lambda: q.components(g),
+        "components, matching dropped": lambda: q.components(g, m.edges),
+        "component_labels, matching dropped": lambda: component_labels(g, m.edges),
         "matching_based_colouring": lambda: q.matching_based_colouring(g),
         "validate": lambda: q.validate(g, col, 2),
         "optimal_colouring": lambda: q.optimal_colouring(small),
