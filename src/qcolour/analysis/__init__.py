@@ -16,7 +16,8 @@ and colouring; every later stage takes the decomposition it returns:
 4. :func:`verify_bound_chain` ``(dec, rp)`` — check every counting
    relation as an integer comparison, both sides scaled by its
    denominator (the 8/5 tail exactly when the graph is triangle-free),
-   and report the certified colour/ratio statistics.
+   and report the certified colour/ratio statistics.  It reads the pairs
+   and the decomposition, never the forests.
 
 :func:`analyse` runs all four.
 """

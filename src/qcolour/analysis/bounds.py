@@ -166,8 +166,12 @@ def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundRe
     for cp in low:
         support = cp.support
         closed = all(mate[v] in support for v in support)
-        maxima = rp.seq.maximal_elements(support)
-        star_ok = len(maxima) == 1 and support == {r.u for r in cp.records} | set(maxima)
+        # A low colour's pairs must form a star: the support has one maximum
+        # under the cascading order, and every other vertex is a first
+        # coordinate.  collect_repetition_pairs checks u != v and u before v
+        # in its tree, so no first coordinate is maximal; the order is
+        # acyclic, so some other vertex is.  A star leaves just that one.
+        star_ok = len(support - {r.u for r in cp.records}) == 1
         if not (closed and star_ok):
             bad += 1
     entries.append(_entry("low_support_closure", bad, 0, "=="))

@@ -122,10 +122,6 @@ class RootedTree:
         # Both lists end at the meeting vertex.
         return tuple(up) + tuple(reversed(down[:-1]))
 
-    def preceq(self, x: int, y: int) -> bool:
-        """Per-tree order: larger postorder index is closer to the root."""
-        return self.index[x] <= self.index[y]
-
 
 @dataclass(frozen=True)
 class RootedForestSeq:
@@ -135,28 +131,23 @@ class RootedForestSeq:
     ``tree_pairs[i]`` holds the repetition pairs of the i-th tree of
     :meth:`trees`, one per leaf, as :func:`tree_repetition_pairs` found them.
 
-    The partial order ``preceq`` is the transitive closure of the per-tree
-    postorders, glued at shared vertices.  Each vertex sits below the root of
-    at most one tree, its *home* (a vertex that is only ever a root is at
-    home in its own tree), and each root is a leaf of at most one earlier
-    tree, its *glue*.  So ``x`` precedes ``y`` exactly when a tree on the
-    climb from x's home through the glues holds ``y`` at or above the point
-    where the climb entered it.
+    Raises ``ValueError`` unless there is one pair list per tree, no two
+    trees share a root or a non-root vertex, and a root that is a non-root
+    vertex of another tree finds that tree in an earlier forest.  So the
+    per-tree postorders, glued at shared vertices, form an acyclic order.
     """
 
     graph: Graph
     forests: tuple[tuple[RootedTree, ...], ...]
     tree_pairs: tuple[tuple[tuple[int, int], ...], ...]
     _trees: tuple[RootedTree, ...] = field(init=False, repr=False, compare=False)
-    _home: dict[int, int] = field(init=False, repr=False, compare=False)
-    _glue: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         trees = tuple(tree for forest in self.forests for tree in forest)
         rounds = [i for i, forest in enumerate(self.forests) for _ in forest]
         if len(self.tree_pairs) != len(trees):
             raise ValueError("one pair list per tree")
-        roots = {tree.root: t for t, tree in enumerate(trees)}
+        roots = {tree.root for tree in trees}
         home = {v: t for t, tree in enumerate(trees) for v in tree.postorder[:-1]}
         if len(roots) != len(trees):
             raise ValueError("two trees share a root")
@@ -168,31 +159,9 @@ class RootedForestSeq:
             if up is not None and rounds[up] >= rounds[t]:
                 raise ValueError("a root may only reuse a leaf of an earlier forest")
         object.__setattr__(self, "_trees", trees)
-        object.__setattr__(self, "_home", roots | home)
-        object.__setattr__(self, "_glue", glue)
 
     def trees(self) -> tuple[RootedTree, ...]:
         return self._trees
-
-    def preceq(self, x: int, y: int) -> bool:
-        t = self._home.get(x)
-        if t is None:
-            return False
-        pos = self._trees[t].index[x]
-        while True:
-            tree = self._trees[t]
-            if tree.index.get(y, -1) >= pos:
-                return True
-            t = self._glue[t]
-            if t is None:
-                return False
-            pos = self._trees[t].index[tree.root]
-
-    def maximal_elements(self, vertices) -> tuple[int, ...]:
-        vs = sorted(set(vertices))
-        return tuple(
-            x for x in vs if not any(y != x and self.preceq(x, y) for y in vs)
-        )
 
 
 def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
@@ -212,11 +181,12 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     lies in a visited class, and no search enters a vertex of one, so
     skipping it changes neither ``reached`` nor any later tree.
 
-    Components are processed independently and their rounds merged
-    positionally — trees from different components are vertex-disjoint, so
-    the cascading conditions are preserved.  Raises
-    :class:`UnanchoredComponentError` on a component with k_i = 0, and
-    :class:`AnalysisInvariantError` if a round reaches no new class.
+    Components are processed one after another, each appending its i-th
+    round's trees to the sequence's i-th forest: trees from different
+    components are vertex-disjoint, so the cascading conditions are
+    preserved.  Raises :class:`UnanchoredComponentError` on a component
+    with k_i = 0, and :class:`AnalysisInvariantError` if a round reaches no
+    new class.
     """
     from . import repetition  # not at the top: it imports this module
 
@@ -227,8 +197,8 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
     class_vertices: dict[int, list[int]] = {}
     for v, c in vertex_class.items():
         class_vertices.setdefault(c, []).append(v)
-    # Per component, per round: the (pairs, ordered tree) of every tree grown.
-    per_component: list[list[list[tuple]]] = []
+    # Per round, over all components: the (pairs, ordered tree) of every tree.
+    rounds: list[list[tuple]] = []
 
     for comp, colours in zip(dec.gm_components, dec.component_colours):
         if not colours:
@@ -242,14 +212,17 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
         used: set[int] = set()
         live = set(class_vertices[anchor])
         prev_leaves: list[int] = []
-        rounds: list[list[tuple]] = []
+        depth = 0
 
         while len(visited) < len(colours):
+            if depth == len(rounds):
+                rounds.append([])
+            trees = rounds[depth]
+            depth += 1
             reached: set[int] = set()
             claimed: dict[int, int] = {}
             # Each vertex is reached at most once per round, by one search.
             up: dict[int, int] = {}
-            trees: list[tuple] = []
             for r in sorted(live.union(prev_leaves)):
                 for y, eid in adjacency[r]:
                     if not (eid in in_matching or y in used or vertex_class.get(y) in visited):
@@ -290,23 +263,15 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
                 live.discard(r)
             if not claimed:
                 raise AnalysisInvariantError("cascade stalled before reaching every class")
-            rounds.append(trees)
             visited.update(claimed)
             prev_leaves = list(claimed.values())
             # A newly reached class has no used vertex but its leaf.
             for c in claimed:
                 live.update(class_vertices[c])
             live.difference_update(prev_leaves)
-        per_component.append(rounds)
 
-    depth = max((len(r) for r in per_component), default=0)
-    forests: list[tuple[RootedTree, ...]] = []
-    tree_pairs: list[tuple[tuple[int, int], ...]] = []
-    for i in range(depth):
-        merged = [found for rounds in per_component if i < len(rounds) for found in rounds[i]]
-        # Through a list, so the tuple is made at its final length: one
-        # resized from a generator left the resident set growing over
-        # many requests.
-        forests.append(tuple([tree for _, tree in merged]))
-        tree_pairs.extend(pairs for pairs, _ in merged)
-    return RootedForestSeq(graph=g, forests=tuple(forests), tree_pairs=tuple(tree_pairs))
+    # Through a list, so each tuple is made at its final length: one resized
+    # from a generator left the resident set growing over many requests.
+    forests = tuple([tuple([tree for _, tree in trees]) for trees in rounds])
+    tree_pairs = tuple([pairs for trees in rounds for pairs, _ in trees])
+    return RootedForestSeq(graph=g, forests=forests, tree_pairs=tree_pairs)

@@ -62,12 +62,13 @@ class ColourPairs:
 class RepetitionPairs:
     """All pairs of a forest sequence, grouped and classified by colour.
 
-    ``colours`` maps each paired matching colour, in increasing order, to
-    its :class:`ColourPairs`.  ``interior_clashes`` counts the record
-    pairs of different colours whose paths share an interior vertex.
+    ``records`` lists the pairs tree by tree, in the sequence's order; the
+    sequence itself is not kept.  ``colours`` maps each paired matching
+    colour, in increasing order, to its :class:`ColourPairs`.
+    ``interior_clashes`` counts the record pairs of different colours whose
+    paths share an interior vertex.
     """
 
-    seq: RootedForestSeq
     records: tuple[PairRecord, ...]
     colours: dict[int, ColourPairs] = field(hash=False)
     interior_clashes: int
@@ -107,13 +108,11 @@ def collect_repetition_pairs(
     built from ``dec``.
 
     Reads each tree's pairs from ``seq.tree_pairs``, records their paths,
-    and checks the structural guarantees the pairing construction does not
-    check itself: distinct first coordinates across all trees, equal
+    and checks what the bound chain relies on: distinct first coordinates
+    across all trees, each before its second in the tree's postorder, equal
     matching colours, monochromatic pair paths whose interior avoids the
     shared colour, and interior-disjoint paths for matched pairs.  A failed
-    check raises :class:`AnalysisInvariantError` naming it.  The
-    order of each pair is certified where the tree order is built, by
-    :func:`tree_repetition_pairs`.
+    check raises :class:`AnalysisInvariantError` naming it.
     """
     if seq.graph != dec.graph:
         raise ValueError("forest sequence and decomposition disagree on graph")
@@ -131,6 +130,8 @@ def collect_repetition_pairs(
             if u in firsts_seen:
                 raise AnalysisInvariantError("pair first coordinates must be globally distinct")
             firsts_seen.add(u)
+            if tree.index[u] > tree.index[v]:
+                raise AnalysisInvariantError("pairs must respect the post-order")
             path = tree.path(u, v)
             # The path's edges are the parent edges of its vertices but the topmost.
             top = max(path, key=tree.index.__getitem__)
@@ -165,7 +166,6 @@ def collect_repetition_pairs(
         colours[colour] = ColourPairs(recs, support, rp, kind)
 
     return RepetitionPairs(
-        seq=seq,
         records=tuple(records),
         colours=colours,
         interior_clashes=interior_clashes,

@@ -252,7 +252,7 @@ def order_closure(seq) -> dict[int, frozenset[int]]:
 
     Maps every tree vertex to the vertices strictly after it, following
     each tree's postorder and gluing trees at shared vertices.  O(V^2), so
-    only for checking :meth:`RootedForestSeq.preceq` on small sequences.
+    only for checking the bound chain's star test on small sequences.
     """
     succ: dict[int, set[int]] = {}
     for tree in seq.trees():
@@ -275,17 +275,23 @@ def order_closure(seq) -> dict[int, frozenset[int]]:
     return reach
 
 
-def check_order_against_closure(seq) -> int:
-    """Compare ``seq.preceq`` with :func:`order_closure` on every ordered
-    pair of graph vertices; return the number of pairs compared."""
+def check_star_against_closure(seq, rp) -> tuple[int, int]:
+    """Check the set form of the star test that ``low_support_closure``
+    runs, one vertex of the support left after the first coordinates,
+    against the order form on :func:`order_closure`: the support has one
+    maximum and every other vertex is a first coordinate.  Runs on every
+    paired colour of ``rp``, the pairs of ``seq``, high ones too; returns
+    the number of colours checked and the number that are stars."""
     reach = order_closure(seq)
-    n = seq.graph.n
-    for x in range(n):
-        after = reach.get(x)
-        for y in range(n):
-            expect = after is not None and (x == y or y in after)
-            assert seq.preceq(x, y) == expect, f"preceq({x}, {y}) should be {expect}"
-    return n * n
+    stars = 0
+    for colour, cp in rp.colours.items():
+        firsts = {r.u for r in cp.records}
+        maxima = {x for x in cp.support if not reach[x] & cp.support}
+        by_order = len(maxima) == 1 and cp.support == firsts | maxima
+        by_set = len(cp.support - firsts) == 1
+        assert by_set == by_order, f"colour {colour}: set test {by_set}, order test {by_order}"
+        stars += by_order
+    return len(rp.colours), stars
 
 
 def reference_cascade(dec) -> RootedForestSeq:

@@ -45,8 +45,8 @@ from qcolour.instances import (
 )
 from helpers import (
     brute_force_matching_size,
-    check_order_against_closure,
     check_pair_properties,
+    check_star_against_closure,
     connected_graphs_up_to,
     random_graph,
     random_pair_tree,
@@ -322,5 +322,6 @@ def test_sequence_order_matches_closure_on_corpus(corpus):
     compared = 0
     for e in corpus[::3]:
         dec = decompose(e.inst.graph, e.inst.matching, e.res.witness)
-        compared += check_order_against_closure(build_cascading_sequence(dec))
+        seq = build_cascading_sequence(dec)
+        compared += check_star_against_closure(seq, collect_repetition_pairs(dec, seq))[0]
     assert compared > 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -50,11 +51,12 @@ from helpers import (
     bfs_components,
     cascade_shape,
     caterpillar_pair_tree,
-    check_order_against_closure,
     check_pair_properties,
+    check_star_against_closure,
     deep_path_instance,
     fig5_copies,
     merge_disjoint_classes,
+    order_closure,
     random_pair_tree,
     random_valid_colouring,
     reference_cascade,
@@ -574,22 +576,21 @@ def test_sequence_order_matches_closure_on_lower_bound_instance():
     assert len(seq.forests) == 10
     assert len(seq.trees()) == len(seq.tree_pairs) == 35
     assert len({v for t in seq.trees() for v in t.postorder}) == 42
-    # All 72^2 vertex pairs, the 42^2 pairs of tree vertices among them.
-    assert check_order_against_closure(seq) == 72 * 72
+    rp = collect_repetition_pairs(dec, seq)
+    # Seven paired colours, all low, so every one must be a star.
+    assert check_star_against_closure(seq, rp) == (7, 7)
 
 
 def test_sequence_order_climbs_from_the_glued_leaf():
     # Round 1: root 0 with leaves 1 and 2 (postorder 1, 2, 0).  Round 2:
-    # root 2 with leaf 3.  From 3 the climb enters the first tree at 2, so
+    # root 2 with leaf 3.  From 3 the order enters the first tree at 2, so
     # 0 and 2 follow 3 but 1 does not.
     g = Graph(4, ((0, 1), (0, 2), (2, 3)))
     first = RootedTree.build(g, 0, {1: 0, 2: 0})
     second = RootedTree.build(g, 2, {3: 2})
     seq = RootedForestSeq(g, ((first,), (second,)), ((), ()))
     assert first.postorder == (1, 2, 0)
-    assert seq.preceq(3, 0) and seq.preceq(3, 2)
-    assert not seq.preceq(3, 1) and not seq.preceq(2, 3)
-    assert check_order_against_closure(seq) == 16
+    assert order_closure(seq) == {0: set(), 1: {0, 2}, 2: {0}, 3: {0, 2}}
 
 
 def test_sequence_rejects_a_root_glued_to_a_later_forest():
@@ -772,6 +773,19 @@ def test_collected_pairs_on_lower_bound_instance():
         assert mates == set(cp.support)  # supports are closed under mates
 
 
+def test_collected_pairs_must_respect_the_post_order():
+    # The bound chain's star test reads only first coordinates, so it needs
+    # each pair's first coordinate before its second.  Reversed, fig5's
+    # pairs keep distinct first coordinates and monochromatic paths.
+    inst = fig5_lower_bound()
+    dec = decompose(inst.graph, inst.matching, inst.certified_colouring)
+    seq = build_cascading_sequence(dec)
+    reversed_pairs = tuple(tuple((v, u) for u, v in pairs) for pairs in seq.tree_pairs)
+    backwards = RootedForestSeq(seq.graph, seq.forests, reversed_pairs)
+    with pytest.raises(AnalysisInvariantError, match="post-order"):
+        collect_repetition_pairs(dec, backwards)
+
+
 def test_interior_clashes_count_each_record_pair_once():
     recs = [
         PairRecord(0, 9, 0, (0, 5, 6, 9), False),
@@ -858,6 +872,32 @@ def _assert_duplicate_relations_agree(report):
         assert (split.lhs_num, split.rhs_num, split.den) == (pair.lhs_num, pair.rhs_num, pair.den)
 
 
+def _slack(entry):
+    """How far ``<=`` or ``>=`` is from tight, in the entry's scaled integers."""
+    if entry.relation == ">=":
+        return entry.lhs_num - entry.rhs_num
+    return entry.rhs_num - entry.lhs_num
+
+
+def _assert_slack_identities(report):
+    """Each derived relation's slack is a sum of earlier slacks plus a term
+    in h.  The identities follow by algebra from the relations, with
+    pair_count_identity and n = 2|M|.  The third and fifth show what the
+    chain proves: 3c <= 5|M| + h, and 5c <= 8|M| + 2h on triangle-free
+    input, so the two ratio relations only add slack in h."""
+    s = {e.id: _slack(e) for e in report.entries}
+    h = report.h
+    pair_counts = s["total_vs_pair_counts"]
+    assert pair_counts == 2 * s["total_vs_matching_repetition"] + s["repetition_lower_bound"]
+    internal = s["total_vs_internal_budget"]
+    assert internal == 2 * pair_counts + s["internal_vertex_budget"]
+    assert 2 * s["approximation_5_3"] == internal + s["total_vs_low_colours"] + 8 * h
+    if report.triangle_free:
+        internal_tf = s["total_vs_internal_budget_tf"]
+        assert internal_tf == 2 * pair_counts + s["internal_vertex_budget_tf"]
+        assert s["approximation_8_5"] == internal_tf + s["total_vs_low_split"] + 6 * h
+
+
 def test_bound_reports_match_the_pinned_digest():
     digest = hashlib.sha256()
     high_and_delta = 0
@@ -870,12 +910,14 @@ def test_bound_reports_match_the_pinned_digest():
                 inst = gen(n, 0.3, seed)
                 report = analyse(inst.graph, inst.matching, optimal_colouring(inst.graph).witness)
                 _assert_duplicate_relations_agree(report)
+                _assert_slack_identities(report)
                 doc = report.to_json_dict()
                 high_and_delta += doc["high_colours"] > 0 and doc["delta"] > 0
                 digest.update(f"{gen.__name__} {n} {seed}: {json.dumps(doc)}\n".encode())
     fig5 = fig5_lower_bound()
     report = analyse(fig5.graph, fig5.matching, fig5.certified_colouring)
     _assert_duplicate_relations_agree(report)
+    _assert_slack_identities(report)
     doc = report.to_json_dict()
     digest.update(f"fig5: {json.dumps(doc)}\n".encode())
     # The corpus must reach the high-colour branch and its matched pairs.
@@ -984,6 +1026,28 @@ def test_a_failing_relation_keeps_its_fractional_sides():
     }
 
 
+def test_low_support_closure_fails_on_a_broken_star_or_mate():
+    # fig5's low colours are chains u -> v of one maximum.  Dropping the
+    # record at the bottom of one leaves two support vertices that are no
+    # first coordinate; dropping its first coordinate too keeps the star
+    # but leaves that vertex's mate in the support without it.
+    fig5 = fig5_lower_bound()
+    dec = decompose(fig5.graph, fig5.matching, fig5.certified_colouring)
+    rp = collect_repetition_pairs(dec, build_cascading_sequence(dec))
+    colour, cp = next((c, cp) for c, cp in rp.colours.items() if cp.kind != "high")
+    seconds = {r.v for r in cp.records}
+    bottom = next(r for r in cp.records if r.u not in seconds)
+    assert fig5.matching.mate[bottom.u] in cp.support
+    records = tuple(r for r in cp.records if r is not bottom)
+    for support in (cp.support, cp.support - {bottom.u}):
+        broken = dataclasses.replace(cp, records=records, support=support)
+        doctored = dataclasses.replace(rp, colours={**rp.colours, colour: broken})
+        report = verify_bound_chain(dec, doctored)
+        entry = report.entry("low_support_closure")
+        assert (entry.lhs, entry.passed) == (1, False)
+        assert [e.id for e in report.entries if not e.passed] == ["low_support_closure"]
+
+
 def test_bound_chain_builds_one_fraction_per_call(monkeypatch):
     # The relations are integer comparisons; only the ratio is a Fraction.
     built = []
@@ -1054,6 +1118,7 @@ def test_random_valid_colourings_are_unanchored_or_pass_every_relation():
             continue
         assert report.all_passed
         _assert_duplicate_relations_agree(report)
+        _assert_slack_identities(report)
         analysed += 1
         paired += report.paired_colours > 0
     assert (analysed, unanchored, paired) == (171, 129, 119)
