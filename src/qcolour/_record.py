@@ -1,0 +1,53 @@
+"""The frozen base of the package's record classes.
+
+The records are plain ``__slots__`` classes, not dataclasses: the
+``dataclass`` decorator generates and execs each class's methods at import,
+which cost about a third of ``import qcolour.cli``.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """An immutable value with fields in ``__slots__``.
+
+    A subclass's ``__init__`` sets each field with ``object.__setattr__``;
+    afterwards assigning or deleting any attribute raises ``AttributeError``.
+    ``_eq``, ``_hash`` and ``_repr`` name the fields that equality, the hash
+    and ``repr`` read, in that order; each defaults to ``__slots__``.
+    Instances of different classes never compare equal.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in ("_eq", "_hash", "_repr"):
+            if name not in cls.__dict__:
+                setattr(cls, name, cls.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._eq
+        return tuple([getattr(self, f) for f in names]) == tuple([getattr(other, f) for f in names])
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, f) for f in self._hash]))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._repr])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setstate__(self, state) -> None:
+        # pickle and copy hand a slots-only instance (None, {slot: value}).
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)

@@ -10,9 +10,9 @@ report can be inspected or serialized even when something is violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .._record import Record
 from ..graph import is_triangle_free
 from .decompose import ColourDecomposition
 from .pairs import RepetitionPairs
@@ -20,10 +20,11 @@ from .pairs import RepetitionPairs
 __all__ = ["BoundEntry", "BoundReport", "verify_bound_chain"]
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(Record):
     """One verified relation ``lhs relation rhs`` with its outcome, both
     sides stored as integer numerators over the common denominator ``den``."""
+
+    __slots__ = ("id", "relation", "lhs_num", "rhs_num", "den", "passed")
 
     id: str
     relation: str
@@ -31,6 +32,14 @@ class BoundEntry:
     rhs_num: int
     den: int
     passed: bool
+
+    def __init__(self, id, relation, lhs_num, rhs_num, den, passed) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "lhs_num", lhs_num)
+        object.__setattr__(self, "rhs_num", rhs_num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "passed", passed)
 
     @property
     def lhs(self) -> Fraction:
@@ -63,14 +72,19 @@ def _entry(eid: str, lhs: int, rhs: int, rel: str, den: int = 1) -> BoundEntry:
     return BoundEntry(eid, rel, lhs, rhs, den, ok)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Instance statistics plus every checked relation of the chain.
 
     ``ratio`` is the certified quotient ``colours / (matching_size + h)``
     for the analysed colouring.  ``entries`` preserves the derivation
     order; ``all_passed`` is the conjunction of their outcomes.
     """
+
+    __slots__ = (
+        "n", "matching_size", "h", "colours", "matching_colours", "non_matching_colours",
+        "paired_colours", "high_colours", "low_colours", "low_large", "low_small", "delta",
+        "repetition_total", "triangle_free", "ratio", "entries",
+    )
 
     n: int
     matching_size: int
@@ -88,6 +102,28 @@ class BoundReport:
     triangle_free: bool
     ratio: Fraction
     entries: tuple[BoundEntry, ...]
+
+    def __init__(
+        self, n, matching_size, h, colours, matching_colours, non_matching_colours, paired_colours,
+        high_colours, low_colours, low_large, low_small, delta, repetition_total, triangle_free,
+        ratio, entries,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matching_size", matching_size)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "colours", colours)
+        object.__setattr__(self, "matching_colours", matching_colours)
+        object.__setattr__(self, "non_matching_colours", non_matching_colours)
+        object.__setattr__(self, "paired_colours", paired_colours)
+        object.__setattr__(self, "high_colours", high_colours)
+        object.__setattr__(self, "low_colours", low_colours)
+        object.__setattr__(self, "low_large", low_large)
+        object.__setattr__(self, "low_small", low_small)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "repetition_total", repetition_total)
+        object.__setattr__(self, "triangle_free", triangle_free)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def all_passed(self) -> bool:

@@ -11,8 +11,7 @@ paths between them hangs off this decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import Record
 from ..colouring import EdgeColouring, validate
 from ..graph import Component, EdgeSubset, Graph, component_labels
 # components is not called here; bench/tracing.py probes it here.
@@ -54,16 +53,22 @@ def matched_colour_map(col: EdgeColouring, m: Matching) -> tuple[int | None, ...
     return tuple([None if eid is None else col.colour[eid] for eid in m.mate_edge])
 
 
-@dataclass(frozen=True)
-class ColourDecomposition:
+class ColourDecomposition(Record):
     """A valid 2-colouring split against a perfect matching.
 
     ``gm_components`` are the edge-containing components C_1..C_h of the graph
     minus the matching, in min-vertex order; ``component_colours[i]`` lists
     the non-matching colours whose class lies inside C_i (so ``k[i]`` is its
     length); ``vertex_class[v]`` is the non-matching colour whose class holds
-    v, for every vertex of such a class.
+    v, for every vertex of such a class.  ``vertex_class`` is compared but,
+    being a dict, not hashed.
     """
+
+    __slots__ = (
+        "graph", "matching", "colouring", "matching_colours", "non_matching_colours",
+        "gm_components", "component_colours", "vertex_class",
+    )
+    _hash = __slots__[:-1]  # all but vertex_class
 
     graph: Graph
     matching: Matching
@@ -72,7 +77,20 @@ class ColourDecomposition:
     non_matching_colours: frozenset[int]
     gm_components: tuple[Component, ...]
     component_colours: tuple[tuple[int, ...], ...]
-    vertex_class: dict[int, int] = field(hash=False)
+    vertex_class: dict[int, int]
+
+    def __init__(
+        self, graph, matching, colouring, matching_colours, non_matching_colours, gm_components,
+        component_colours, vertex_class,
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "colouring", colouring)
+        object.__setattr__(self, "matching_colours", matching_colours)
+        object.__setattr__(self, "non_matching_colours", non_matching_colours)
+        object.__setattr__(self, "gm_components", gm_components)
+        object.__setattr__(self, "component_colours", component_colours)
+        object.__setattr__(self, "vertex_class", vertex_class)
 
     @property
     def h(self) -> int:

@@ -12,8 +12,7 @@ claimed exactly once, so the total leaf count over the sequence is k - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import Record
 from ..graph import Graph
 from .decompose import (
     AnalysisInvariantError,
@@ -22,8 +21,7 @@ from .decompose import (
 )
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(Record):
     """A rooted tree on a subset of a graph's vertices.
 
     ``children`` is the tree's shape: the ordered children of each vertex
@@ -31,21 +29,27 @@ class RootedTree:
     and so is ``postorder``, the per-tree vertex order: children precede
     parents and the root comes last, so larger index means closer to the
     root.  ``parent_edge`` maps each non-root vertex to the id of the graph
-    edge to its parent, looked up with :meth:`Graph.edge_id`.  Raises
+    edge to its parent, looked up with :meth:`Graph.edge_id`.  Of the
+    derived fields only ``postorder`` is compared and shown.  Raises
     ``ValueError`` when ``root`` is not a vertex of ``graph`` or
     ``children`` is not a tree on edges of ``graph`` hanging from it.
     """
 
+    __slots__ = ("graph", "root", "children", "postorder", "parent", "parent_edge", "index")
+    _eq = _hash = _repr = ("graph", "root", "children", "postorder")
+
     graph: Graph
     root: int
     children: dict[int, tuple[int, ...]]
-    parent: dict[int, int] = field(init=False, repr=False, compare=False)
-    parent_edge: dict[int, int] = field(init=False, repr=False, compare=False)
-    postorder: tuple[int, ...] = field(init=False)
-    index: dict[int, int] = field(init=False, repr=False, compare=False)
+    postorder: tuple[int, ...]
+    parent: dict[int, int]
+    parent_edge: dict[int, int]
+    index: dict[int, int]
 
-    def __post_init__(self) -> None:
-        graph, root, children = self.graph, self.root, self.children
+    def __init__(self, graph, root, children) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "children", children)
         if not 0 <= root < graph.n:
             raise ValueError(f"root {root} is not a vertex of the graph")
         parent: dict[int, int] = {}
@@ -123,8 +127,7 @@ class RootedTree:
         return tuple(up) + tuple(reversed(down[:-1]))
 
 
-@dataclass(frozen=True)
-class RootedForestSeq:
+class RootedForestSeq(Record):
     """A sequence of forests F_1..F_t whose consecutive members may share only
     a root-at-a-leaf vertex, with members two or more apart fully disjoint.
 
@@ -133,19 +136,26 @@ class RootedForestSeq:
 
     Raises ``ValueError`` unless there is one pair list per tree, no two
     trees share a root or a non-root vertex, and a root that is a non-root
-    vertex of another tree finds that tree in an earlier forest.  So the
-    per-tree postorders, glued at shared vertices, form an acyclic order.
+    vertex of another tree is a leaf of that tree, which lies in the forest
+    just before the root's own.  So the per-tree postorders, glued at
+    shared vertices, form an acyclic order.
     """
+
+    __slots__ = ("graph", "forests", "tree_pairs", "_trees")
+    _eq = _hash = _repr = ("graph", "forests", "tree_pairs")
 
     graph: Graph
     forests: tuple[tuple[RootedTree, ...], ...]
     tree_pairs: tuple[tuple[tuple[int, int], ...], ...]
-    _trees: tuple[RootedTree, ...] = field(init=False, repr=False, compare=False)
+    _trees: tuple[RootedTree, ...]
 
-    def __post_init__(self) -> None:
-        trees = tuple(tree for forest in self.forests for tree in forest)
-        rounds = [i for i, forest in enumerate(self.forests) for _ in forest]
-        if len(self.tree_pairs) != len(trees):
+    def __init__(self, graph, forests, tree_pairs) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "forests", forests)
+        object.__setattr__(self, "tree_pairs", tree_pairs)
+        trees = tuple(tree for forest in forests for tree in forest)
+        rounds = [i for i, forest in enumerate(forests) for _ in forest]
+        if len(tree_pairs) != len(trees):
             raise ValueError("one pair list per tree")
         roots = {tree.root for tree in trees}
         home = {v: t for t, tree in enumerate(trees) for v in tree.postorder[:-1]}
@@ -153,11 +163,14 @@ class RootedForestSeq:
             raise ValueError("two trees share a root")
         if len(home) != sum(len(tree.parent) for tree in trees):
             raise ValueError("two trees share a non-root vertex")
-        glue = tuple(home.get(tree.root) for tree in trees)
-        for t, up in enumerate(glue):
-            # Glues only point back in the sequence, so the order is acyclic.
-            if up is not None and rounds[up] >= rounds[t]:
-                raise ValueError("a root may only reuse a leaf of an earlier forest")
+        for t, tree in enumerate(trees):
+            up = home.get(tree.root)
+            # A glue points at a leaf one forest back, so the order is acyclic
+            # and forests two or more apart share no vertex.
+            if up is not None and (
+                rounds[up] != rounds[t] - 1 or trees[up].children.get(tree.root)
+            ):
+                raise ValueError("a root may only reuse a leaf of the immediately earlier forest")
         object.__setattr__(self, "_trees", trees)
 
     def trees(self) -> tuple[RootedTree, ...]:

@@ -10,9 +10,9 @@ separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
+from .._record import Record
 from .decompose import AnalysisInvariantError, ColourDecomposition, matched_colour_map
 from .forests import RootedForestSeq
 # tree_repetition_pairs is not called here; bench/tracing.py probes it here.
@@ -21,13 +21,14 @@ from .repetition import repetition_content, tree_repetition_pairs  # noqa: F401
 __all__ = ["ColourPairs", "PairRecord", "RepetitionPairs", "collect_repetition_pairs"]
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(Record):
     """One extracted pair: two vertices sharing a matching colour.
 
     ``path`` is the unique tree path from ``u`` to ``v``; ``matched`` is
     true when ``u`` and ``v`` are partners of the same matching edge.
     """
+
+    __slots__ = ("u", "v", "colour", "path", "matched")
 
     u: int
     v: int
@@ -35,9 +36,15 @@ class PairRecord:
     path: tuple[int, ...]
     matched: bool
 
+    def __init__(self, u, v, colour, path, matched) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "colour", colour)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "matched", matched)
 
-@dataclass(frozen=True)
-class ColourPairs:
+
+class ColourPairs(Record):
     """The pairs of one paired matching colour and its class.
 
     ``support`` holds both ends of every record and ``repetition`` is its
@@ -47,10 +54,18 @@ class ColourPairs:
     ``"low_small"`` with four.
     """
 
+    __slots__ = ("records", "support", "repetition", "kind")
+
     records: tuple[PairRecord, ...]
     support: frozenset[int]
     repetition: int
     kind: str
+
+    def __init__(self, records, support, repetition, kind) -> None:
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "repetition", repetition)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def matched(self) -> int:
@@ -58,20 +73,27 @@ class ColourPairs:
         return sum(r.matched for r in self.records)
 
 
-@dataclass(frozen=True)
-class RepetitionPairs:
+class RepetitionPairs(Record):
     """All pairs of a forest sequence, grouped and classified by colour.
 
     ``records`` lists the pairs tree by tree, in the sequence's order; the
     sequence itself is not kept.  ``colours`` maps each paired matching
-    colour, in increasing order, to its :class:`ColourPairs`.
-    ``interior_clashes`` counts the record pairs of different colours whose
-    paths share an interior vertex.
+    colour, in increasing order, to its :class:`ColourPairs`; it is compared
+    but, being a dict, not hashed.  ``interior_clashes`` counts the record
+    pairs of different colours whose paths share an interior vertex.
     """
 
+    __slots__ = ("records", "colours", "interior_clashes")
+    _hash = ("records", "interior_clashes")
+
     records: tuple[PairRecord, ...]
-    colours: dict[int, ColourPairs] = field(hash=False)
+    colours: dict[int, ColourPairs]
     interior_clashes: int
+
+    def __init__(self, records, colours, interior_clashes) -> None:
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "colours", colours)
+        object.__setattr__(self, "interior_clashes", interior_clashes)
 
 
 def _interior_clashes(records: list[PairRecord]) -> int:

@@ -9,9 +9,9 @@ graph with one shared colour, giving |M| + h colours total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
+from ._record import Record
 from .graph import Graph, component_labels, read_records, record_lines
 # components is not called here; bench/tracing.py probes it here.
 from .graph import components  # noqa: F401
@@ -22,29 +22,32 @@ class ColouringFormatError(ValueError):
     """A colouring document violates the text format or the parent graph."""
 
 
-@dataclass(frozen=True)
-class EdgeColouring:
+class EdgeColouring(Record):
     """An assignment of a colour to every edge of a graph.
 
     Stored in canonical form: colours are the ``int`` values ``0..c-1``,
     numbered by first appearance in edge-id order.  ``from_values`` relabels
-    arbitrary hashable colour values into this form.
+    arbitrary hashable colour values into this form.  ``num_colours`` is
+    derived: shown, but not compared.
     """
+
+    __slots__ = ("graph", "colour", "num_colours")
+    _eq = _hash = ("graph", "colour")
 
     graph: Graph
     colour: tuple[int, ...]
-    num_colours: int = field(init=False, compare=False)
+    num_colours: int
 
-    def __post_init__(self) -> None:
-        if len(self.colour) != self.graph.m:
-            raise ValueError(
-                f"expected {self.graph.m} colour entries, got {len(self.colour)}"
-            )
-        if not set(map(type, self.colour)) <= {int}:
-            bad = next(c for c in self.colour if type(c) is not int)
+    def __init__(self, graph, colour) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "colour", colour)
+        if len(colour) != graph.m:
+            raise ValueError(f"expected {graph.m} colour entries, got {len(colour)}")
+        if not set(map(type, colour)) <= {int}:
+            bad = next(c for c in colour if type(c) is not int)
             raise ValueError(f"colour {bad!r} is not an int")
         nxt = 0
-        for c in self.colour:
+        for c in colour:
             if c == nxt:
                 nxt += 1
             elif not (0 <= c < nxt):
@@ -62,15 +65,23 @@ class EdgeColouring:
         return frozenset(self.colour[eid] for _, eid in self.graph.adjacency[v])
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """Outcome of checking a colouring against the per-vertex budget q."""
+
+    __slots__ = ("valid", "q", "colours_used", "vertex_colour_counts", "first_violation")
 
     valid: bool
     q: int
     colours_used: int
     vertex_colour_counts: tuple[int, ...]
     first_violation: tuple[int, tuple[int, ...]] | None
+
+    def __init__(self, valid, q, colours_used, vertex_colour_counts, first_violation) -> None:
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "colours_used", colours_used)
+        object.__setattr__(self, "vertex_colour_counts", vertex_colour_counts)
+        object.__setattr__(self, "first_violation", first_violation)
 
     def to_json_dict(self) -> dict:
         return {

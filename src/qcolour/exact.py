@@ -10,8 +10,8 @@ enumeration oracles are provided.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .colouring import EdgeColouring, matching_based_colouring
 from .graph import Graph
 
@@ -30,15 +30,22 @@ class PatternAbsentError(ValueError):
     """The graph contains no copy of the star being forced."""
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(Record):
     """Outcome of an exact search: the best colour count found, one witness
     colouring achieving it, and whether the search space was exhausted."""
+
+    __slots__ = ("opt", "witness", "nodes_explored", "complete")
 
     opt: int
     witness: EdgeColouring
     nodes_explored: int
     complete: bool
+
+    def __init__(self, opt, witness, nodes_explored, complete) -> None:
+        object.__setattr__(self, "opt", opt)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "complete", complete)
 
     def to_json_dict(self) -> dict:
         return {

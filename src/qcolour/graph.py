@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import Record
 
 # Largest vertex count parse_graph accepts.  Graph allocates per vertex, so
 # an unchecked header alone could exhaust memory before any edge is read.
@@ -22,31 +22,33 @@ class InvalidEdgeError(ValueError):
         self.eid = eid
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """A finite simple undirected graph.
 
     Vertices are ``0..n-1``.  Edges are ``(u, v)`` tuples of ints, read as
     unordered pairs and carried in a fixed order; the position of an edge in
     ``edges`` is its id, and every other structure in this package (subsets,
     matchings, colourings) refers to edges by that id.  Instances are
-    immutable once constructed.
+    immutable once constructed.  ``adjacency`` and the edge-id lookup are
+    derived, so neither is compared or shown.
     """
+
+    __slots__ = ("n", "edges", "adjacency", "_ids")
+    _eq = _hash = _repr = ("n", "edges")
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _ids: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    _ids: dict[tuple[int, int], int]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n, edges) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        edges = tuple(self.edges)
+        edges = tuple(edges)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         ids: dict[tuple[int, int], int] = {}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, edge in enumerate(edges):
             try:
                 u, v = edge
@@ -54,10 +56,8 @@ class Graph:
                 raise InvalidEdgeError(eid, f"is not a pair of ints: {edge!r}") from None
             if type(u) is not int or type(v) is not int or type(edge) is not tuple:
                 raise InvalidEdgeError(eid, f"is not a pair of ints: {edge!r}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidEdgeError(
-                    eid, f"endpoint out of range 0..{self.n - 1}: ({u}, {v})"
-                )
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidEdgeError(eid, f"endpoint out of range 0..{n - 1}: ({u}, {v})")
             if u == v:
                 raise InvalidEdgeError(eid, f"is a self-loop at vertex {u}")
             first = ids.setdefault(edge if u < v else (v, u), eid)
@@ -82,23 +82,25 @@ class Graph:
         return self._ids.get((u, v) if u < v else (v, u))
 
 
-@dataclass(frozen=True)
-class EdgeSubset:
+class EdgeSubset(Record):
     """A set of edge ids over a parent graph.  Every id is an ``int`` in
     ``0..m-1``."""
+
+    __slots__ = ("graph", "members")
 
     graph: Graph
     members: frozenset[int]
 
-    def __post_init__(self) -> None:
-        members = frozenset(self.members)
+    def __init__(self, graph, members) -> None:
+        members = frozenset(members)
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "members", members)
         if not set(map(type, members)) <= {int}:
             bad = min((eid for eid in members if type(eid) is not int), key=repr)
             raise ValueError(f"edge id {bad!r} is not an int")
         if members:
             low, high = min(members), max(members)
-            if low < 0 or high >= self.graph.m:
+            if low < 0 or high >= graph.m:
                 raise ValueError(f"edge id {low if low < 0 else high} out of range")
 
     def __contains__(self, eid: int) -> bool:
@@ -111,14 +113,19 @@ class EdgeSubset:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One connected component of a spanning subgraph: its vertices (sorted),
     the ids of the kept edges inside it (sorted), and whether any edge is
     present."""
 
+    __slots__ = ("vertices", "edge_ids")
+
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
+
+    def __init__(self, vertices, edge_ids) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edge_ids", edge_ids)
 
     @property
     def has_edges(self) -> bool:

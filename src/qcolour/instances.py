@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
+from ._record import Record
 from .colouring import (
     EdgeColouring,
     matching_based_colouring,
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CertifiedInstance:
+class CertifiedInstance(Record):
     """A graph bundled with a maximum matching and validated colourings.
 
     ``alg_colouring`` is the output of the matching-based algorithm on
@@ -58,6 +56,8 @@ class CertifiedInstance:
     ``CertifiedInstance`` is proof the instance is sound.
     """
 
+    __slots__ = ("graph", "matching", "alg_colouring", "certified_colouring", "generator", "seed")
+
     graph: Graph
     matching: Matching
     alg_colouring: EdgeColouring
@@ -65,14 +65,22 @@ class CertifiedInstance:
     generator: str
     seed: int | None
 
-    def __post_init__(self) -> None:
-        if not is_maximum(self.graph, self.matching):
+    def __init__(
+        self, graph, matching, alg_colouring, certified_colouring, generator, seed
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "alg_colouring", alg_colouring)
+        object.__setattr__(self, "certified_colouring", certified_colouring)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "seed", seed)
+        if not is_maximum(graph, matching):
             raise ValueError("instance matching is not maximum")
-        report = validate(self.graph, self.alg_colouring, 2)
+        report = validate(graph, alg_colouring, 2)
         if not report.valid:
             raise ValueError("algorithm colouring is not a valid 2-colouring")
-        if self.certified_colouring is not None:
-            report = validate(self.graph, self.certified_colouring, 2)
+        if certified_colouring is not None:
+            report = validate(graph, certified_colouring, 2)
             if not report.valid:
                 raise ValueError("certified colouring is not a valid 2-colouring")
 
@@ -99,6 +107,11 @@ class CertifiedInstance:
 
 
 def _load_data(name: str) -> str:
+    # Imported here, not at the top: only the fig5 loader reads package data,
+    # and importlib.resources is a large share of a cold start (README,
+    # "Start-up").
+    from importlib import resources
+
     return resources.files("qcolour").joinpath("data", name).read_text(encoding="utf-8")
 
 

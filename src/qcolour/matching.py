@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .graph import EdgeSubset, Graph, read_records, record_lines
 
 
@@ -12,25 +12,28 @@ class MatchingFormatError(ValueError):
     """A matching document violates the text format or the parent graph."""
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """A set of pairwise vertex-disjoint edges.
 
     Two per-vertex views are derived from the edge set at construction, so
     they can never disagree with it: ``mate[v]`` is the partner of ``v``
     and ``mate_edge[v]`` the id of the matching edge at ``v``, both
-    ``None`` when ``v`` is exposed.
+    ``None`` when ``v`` is exposed.  Neither is compared or shown.
     """
 
-    edges: EdgeSubset
-    mate: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
-    mate_edge: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("edges", "mate", "mate_edge")
+    _eq = _hash = _repr = ("edges",)
 
-    def __post_init__(self) -> None:
-        g = self.edges.graph
+    edges: EdgeSubset
+    mate: tuple[int | None, ...]
+    mate_edge: tuple[int | None, ...]
+
+    def __init__(self, edges) -> None:
+        object.__setattr__(self, "edges", edges)
+        g = edges.graph
         mate: list[int | None] = [None] * g.n
         mate_edge: list[int | None] = [None] * g.n
-        for eid in sorted(self.edges.members):
+        for eid in sorted(edges.members):
             u, v = g.edges[eid]
             if mate[u] is not None or mate[v] is not None:
                 raise ValueError(f"edge {eid} shares a vertex with another matching edge")

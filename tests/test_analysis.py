@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -23,10 +22,12 @@ from qcolour import (
 )
 from qcolour.analysis import (
     AnalysisInvariantError,
+    ColourPairs,
     DisconnectedColourClassError,
     ImperfectMatchingError,
     InvalidColouringError,
     PairRecord,
+    RepetitionPairs,
     RootedForestSeq,
     RootedTree,
     UnanchoredComponentError,
@@ -603,6 +604,28 @@ def test_sequence_rejects_a_root_glued_to_a_later_forest():
         RootedForestSeq(g, ((first,), (second,)), ((), ()))
 
 
+def test_sequence_rejects_a_root_at_an_inner_vertex_of_an_earlier_tree():
+    # Vertex 1 is inside the first tree (root 0, child 1, grandchild 2), not a leaf.
+    g = Graph(4, ((0, 1), (1, 2), (1, 3)))
+    first = RootedTree.build(g, 0, {1: 0, 2: 1})
+    second = RootedTree.build(g, 1, {3: 1})
+    with pytest.raises(ValueError, match="reuse a leaf of the immediately earlier forest"):
+        RootedForestSeq(g, ((first,), (second,)), ((), ()))
+    # Rooted at the leaf 2 instead, the same round is accepted.
+    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    first = RootedTree.build(g, 0, {1: 0, 2: 1})
+    RootedForestSeq(g, ((first,), (RootedTree.build(g, 2, {3: 2}),)), ((), ()))
+
+
+def test_sequence_rejects_a_root_at_a_leaf_two_forests_back():
+    g = Graph(3, ((0, 1), (1, 2)))
+    first = RootedTree.build(g, 0, {1: 0})
+    second = RootedTree.build(g, 1, {2: 1})
+    RootedForestSeq(g, ((first,), (second,)), ((), ()))
+    with pytest.raises(ValueError, match="reuse a leaf of the immediately earlier forest"):
+        RootedForestSeq(g, ((first,), (), (second,)), ((), ()))
+
+
 def test_rooted_tree_rejects_a_shape_that_is_not_a_tree():
     g = Graph(4, ((0, 1), (1, 2), (2, 0)))
     with pytest.raises(ValueError, match="vertex 0 is reached twice"):
@@ -730,7 +753,10 @@ tree_repetition_pairs(RootedTree.build(g, 0, {1: 0, 2: 1, 3: 1}), col, m)
 @pytest.mark.parametrize(
     "probe, expected",
     [
-        ("glued_roots", "ValueError: a root may only reuse a leaf of an earlier forest"),
+        (
+            "glued_roots",
+            "ValueError: a root may only reuse a leaf of the immediately earlier forest",
+        ),
         ("three_tree_colours", "ValueError: vertex 1 sees three tree colours"),
     ],
 )
@@ -1040,8 +1066,8 @@ def test_low_support_closure_fails_on_a_broken_star_or_mate():
     assert fig5.matching.mate[bottom.u] in cp.support
     records = tuple(r for r in cp.records if r is not bottom)
     for support in (cp.support, cp.support - {bottom.u}):
-        broken = dataclasses.replace(cp, records=records, support=support)
-        doctored = dataclasses.replace(rp, colours={**rp.colours, colour: broken})
+        broken = ColourPairs(records, support, cp.repetition, cp.kind)
+        doctored = RepetitionPairs(rp.records, {**rp.colours, colour: broken}, rp.interior_clashes)
         report = verify_bound_chain(dec, doctored)
         entry = report.entry("low_support_closure")
         assert (entry.lhs, entry.passed) == (1, False)
