@@ -11,6 +11,7 @@ report can be inspected or serialized even when something is violated.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .._record import Record
 from ..graph import is_triangle_free
@@ -22,7 +23,8 @@ __all__ = ["BoundEntry", "BoundReport", "verify_bound_chain"]
 
 class BoundEntry(Record):
     """One verified relation ``lhs relation rhs`` with its outcome, both
-    sides stored as integer numerators over the common denominator ``den``."""
+    sides stored as integer numerators over the common positive
+    denominator ``den``."""
 
     __slots__ = ("id", "relation", "lhs_num", "rhs_num", "den", "passed")
 
@@ -53,10 +55,17 @@ class BoundEntry(Record):
         return {
             "id": self.id,
             "relation": self.relation,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": _fraction_text(self.lhs_num, self.den),
+            "rhs": _fraction_text(self.rhs_num, self.den),
             "passed": self.passed,
         }
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, with no Fraction
+    built: ``num/den`` in lowest terms, or the integer when that is one."""
+    d = gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
 
 
 def _entry(eid: str, lhs: int, rhs: int, rel: str, den: int = 1) -> BoundEntry:

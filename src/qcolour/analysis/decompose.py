@@ -105,14 +105,33 @@ class ColourDecomposition(Record):
         return self.colouring.num_colours
 
 
+def _check_valid(g: Graph, col: EdgeColouring) -> None:
+    """Raise :class:`InvalidColouringError` naming the first vertex that
+    sees more than two colours, if there is one."""
+    report = validate(g, col, 2)
+    if not report.valid:
+        v, seen = report.first_violation  # type: ignore[misc]
+        raise InvalidColouringError(
+            f"not a valid 2-colouring: vertex {v} sees colours {sorted(seen)}"
+        )
+
+
 def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     """Validate and split ``col`` against ``m``.
 
     Raises a :class:`StructuralError` when the graph has no edges, or a
     subclass when the matching is not perfect, the colouring is invalid for
-    q = 2, or some colour class is disconnected (naming the lowest).  One
-    search per class, along its own edges from an end of its first edge,
-    proves it connected and gives a non-matching class's vertices.
+    q = 2, or some colour class is disconnected (naming the lowest); an
+    invalid colouring is named first.  One search per class, along its own
+    edges from an end of its first edge, proves it connected and gives a
+    non-matching class's vertices.  The searches also count the classes
+    that reach each vertex.  When every class is connected, that count is
+    the number of colours the vertex sees, so a colouring whose classes are
+    all connected and whose vertices each meet at most two is valid with no
+    pass of its own.  Only a disconnected class or a vertex met by three
+    classes calls :func:`~qcolour.colouring.validate`, which names the
+    first vertex over budget: a search misses the vertices of its class
+    that lie in another piece, so there a third colour may go uncounted.
     :func:`~qcolour.graph.component_labels` labels G − M; one pass
     over the non-matching edges and one over the vertices whose label owns
     an edge build the edge-containing components, and a scan of each
@@ -135,12 +154,6 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
         raise ImperfectMatchingError(
             f"matching is not perfect: vertex {exposed} is exposed"
         )
-    report = validate(g, col, 2)
-    if not report.valid:
-        v, seen = report.first_violation  # type: ignore[misc]
-        raise InvalidColouringError(
-            f"not a valid 2-colouring: vertex {v} sees colours {sorted(seen)}"
-        )
 
     colour = col.colour
     c_m = frozenset(colour[eid] for eid in m.edges.members)
@@ -154,13 +167,16 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
             first.append(eid)
         size[c] += 1
     # Each reached class edge is met once from each end, so the class is
-    # connected exactly when its search meets 2 * size[c] edge ends.
+    # connected exactly when its search meets 2 * size[c] edge ends.  When
+    # every class is connected, meets[v] counts the colours v sees.
     adjacency = g.adjacency
+    meets = [0] * g.n
     vertex_class: dict[int, int] = {}
     for c, eid in enumerate(first):
         start = g.edges[eid][0]
         seen = {start}
         stack = [start]
+        meets[start] += 1
         ends = 0
         while stack:
             for y, e in adjacency[stack.pop()]:
@@ -169,10 +185,14 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
+                        meets[y] += 1
         if ends != 2 * size[c]:
+            _check_valid(g, col)
             raise DisconnectedColourClassError(f"colour class {c} is disconnected")
         if c not in c_m:
             vertex_class.update(dict.fromkeys(seen, c))
+    if max(meets) > 2:
+        _check_valid(g, col)
 
     # A component of G minus M is keyed by its label, its least vertex, so
     # the vertex pass meets the components in min-vertex order.

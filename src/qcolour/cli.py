@@ -26,7 +26,6 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .analysis import analyse
 from .colouring import (
@@ -75,7 +74,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _load_graph(path: str) -> Graph:
@@ -86,7 +86,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _json(doc: dict) -> str:
@@ -120,9 +121,15 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + closed)
-    elif isinstance(value, int) and not isinstance(value, bool):
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
         out.append(int.__repr__(value))
-    else:  # None, a bool or a float
+    else:  # a float
         out.append(json.dumps(value))
 
 

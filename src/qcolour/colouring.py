@@ -46,15 +46,12 @@ class EdgeColouring(Record):
         if not set(map(type, colour)) <= {int}:
             bad = next(c for c in colour if type(c) is not int)
             raise ValueError(f"colour {bad!r} is not an int")
-        nxt = 0
-        for c in colour:
-            if c == nxt:
-                nxt += 1
-            elif not (0 <= c < nxt):
-                raise ValueError(
-                    "colours must be canonical: 0..c-1 in order of first appearance"
-                )
-        object.__setattr__(self, "num_colours", nxt)
+        # Canonical exactly when the colours in order of first appearance
+        # are 0, 1, 2, ...
+        firsts = list(dict.fromkeys(colour))
+        if firsts != list(range(len(firsts))):
+            raise ValueError("colours must be canonical: 0..c-1 in order of first appearance")
+        object.__setattr__(self, "num_colours", len(firsts))
 
     @classmethod
     def from_values(cls, g: Graph, values) -> EdgeColouring:

@@ -181,8 +181,14 @@ def components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    """True iff no three vertices are pairwise adjacent."""
-    neighbours = [{v for v, _ in row} for row in g.adjacency]
+    """True iff no three vertices are pairwise adjacent.
+
+    Each edge checks that its ends share no neighbour.  A vertex of degree
+    at most 1 lies on no triangle, so it gets an empty neighbour set and
+    its edges pass without a look at the other end.
+    """
+    empty: frozenset[int] = frozenset()
+    neighbours = [{v for v, _ in row} if len(row) > 1 else empty for row in g.adjacency]
     return all(neighbours[u].isdisjoint(neighbours[v]) for u, v in g.edges)
 
 
@@ -220,19 +226,29 @@ def read_records(
 
     Every line boundary is whitespace to ``str.split``, so without a
     comment one split of the whole text gives the fields of all lines in
-    order, and one ``int`` pass reads them.
+    order, and one ``int`` pass reads them.  A document in the layout the
+    serializers write (``width`` tokens a line, one space between tokens,
+    each line ending in LF) is recognised by rebuilding it from those
+    fields with one ``%`` format, so only another layout is split line by
+    line to check its widths.
     """
-    lines = text.splitlines()
     if "#" in text:
+        lines = text.splitlines()
         rows = [lines[lineno - 1].split() for lineno in record_lines(text)]
         tokens = [token for fields in rows for token in fields]
     else:
-        rows, tokens = map(str.split, lines), text.split()
+        tokens = text.split()
+        count, rest = divmod(len(tokens), width)
+        if not rest and ("%s " * (width - 1) + "%s\n") * count % tuple(tokens) == text:
+            rows = ()  # every line holds width tokens
+        else:
+            rows = map(str.split, text.splitlines())
     if set(map(len, rows)) <= {0, width}:
         try:
             return list(zip(*[map(int, tokens)] * width))
         except ValueError:
             pass
+    lines = text.splitlines()
     for index, lineno in enumerate(record_lines(text)):
         raw = lines[lineno - 1]
         try:

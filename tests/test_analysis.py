@@ -108,6 +108,18 @@ def test_decompose_rejects_disconnected_class():
         decompose(g, m, col)
 
 
+def test_decompose_names_a_third_colour_a_disconnected_class_hides():
+    """Class A is disconnected, and the search along it from edge 01 never
+    reaches vertex 3, which sees B, E and A.  The invalid colouring still
+    outranks the disconnected class."""
+    g = Graph(8, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 6), (4, 5), (6, 7)))
+    m = Matching.from_edge_ids(g, {0, 2, 5, 6})  # 01, 23, 45, 67
+    col = EdgeColouring.from_values(g, ["A", "A", "B", "E", "A", "C", "D"])
+    with pytest.raises(InvalidColouringError) as exc:
+        decompose(g, m, col)
+    assert str(exc.value) == "not a valid 2-colouring: vertex 3 sees colours [0, 1, 2]"
+
+
 def _random_draws(rng: random.Random, count: int, n_max: int):
     """``count`` random valid colourings with connected classes over pm and
     tf instances of 8..``n_max`` vertices, alternating the two families."""

@@ -36,6 +36,26 @@ def test_constructor_requires_canonical_colours():
         EdgeColouring(g, (0,))
 
 
+@pytest.mark.parametrize("colour", [(0, 2, 1), (1, 0), (0, 0, 2)])
+def test_constructor_rejects_colours_out_of_first_appearance_order(colour):
+    g = Graph(4, ((0, 1), (1, 2), (2, 3))[: len(colour)])
+    with pytest.raises(ValueError) as exc:
+        EdgeColouring(g, colour)
+    assert str(exc.value) == "colours must be canonical: 0..c-1 in order of first appearance"
+
+
+def test_constructor_accepts_the_empty_colouring():
+    col = EdgeColouring(Graph(2, ()), ())
+    assert col.colour == () and col.num_colours == 0
+
+
+def test_from_values_merges_equal_hashables():
+    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    col = EdgeColouring.from_values(g, [1, True, 1.0, "1"])
+    assert col.colour == (0, 0, 0, 1)
+    assert col.num_colours == 2
+
+
 @pytest.mark.parametrize(
     "colour, bad", [((False, True), "False"), ((0.0, 1.0), "0.0"), ((0, True), "True")]
 )

@@ -236,6 +236,47 @@ def test_triangle_free_agrees_with_a_scan_of_every_triple():
     assert answers == {True, False}
 
 
+def _has_triangle_by_triples(g: Graph) -> bool:
+    adjacent = {frozenset(edge) for edge in g.edges}
+    return any(
+        {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} <= adjacent
+        for a, b, c in itertools.combinations(range(g.n), 3)
+    )
+
+
+@pytest.mark.parametrize(
+    "g, free",
+    [
+        # A triangle with a pendant at each corner and a path hung off one.
+        (Graph(8, ((0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5), (5, 6), (6, 7))), False),
+        (Graph(3, ((0, 1), (1, 2), (2, 0))), False),
+        (Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4))), True),  # a star
+        (Graph(2, ((1, 0),)), True),
+        (Graph(4, ((3, 2),)), True),  # one edge and two isolated vertices
+    ],
+)
+def test_triangle_free_with_pendant_and_isolated_vertices(g, free):
+    assert is_triangle_free(g) is free is not _has_triangle_by_triples(g)
+
+
+@given(st.integers(0, 2**32))
+def test_triangle_free_agrees_with_the_triples_on_graphs_with_pendants(seed):
+    """A random core with pendant paths hung off it, relabelled: vertices of
+    degree 1 sit next to vertices on and off triangles."""
+    rng = random.Random(seed)
+    core = random_graph(rng.randint(0, 7), rng.choice((0.3, 0.5, 0.8)), rng)
+    n, edges = core.n, list(core.edges)
+    for _ in range(rng.randint(0, 6)):
+        if n and rng.random() < 0.8:
+            edges.append((rng.randrange(n), n))  # hang a pendant off any vertex
+        n += 1  # or leave the new vertex isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(edges)
+    g = Graph(n, tuple((label[u], label[v]) for u, v in edges))
+    assert is_triangle_free(g) is not _has_triangle_by_triples(g)
+
+
 def test_triangle_free_on_random_bipartite():
     rng = random.Random(5)
     for _ in range(25):

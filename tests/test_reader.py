@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from qcolour import (
     ColouringFormatError,
+    EdgeColouring,
     Graph,
     GraphFormatError,
     MatchingFormatError,
@@ -25,6 +26,9 @@ from qcolour import (
     parse_colouring,
     parse_graph,
     parse_matching,
+    serialize_colouring,
+    serialize_graph,
+    serialize_matching,
 )
 from qcolour.graph import read_records, record_lines
 from helpers import (
@@ -180,6 +184,96 @@ def test_parsers_match_the_line_reader_on_corrupted_documents(kind, seed):
         if rng.random() < 0.5:
             _add_comment(rows, rng)
         _check_agreement(parse, _render(rows, rng), *args)
+
+
+def _layout(rows: list) -> str:
+    """``rows`` in the serializers' layout: one space between tokens, LF
+    after every line."""
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _shift(rows: list, rng: random.Random) -> list:
+    """``rows`` with one token moved across a line boundary: every width
+    but two is kept, and so is the token count."""
+    rows = [list(row) for row in rows]
+    if len(rows) > 1:
+        i = rng.randrange(len(rows) - 1)
+        rows[i + 1].insert(0, rows[i].pop())
+    return rows
+
+
+def _check_records(text: str, width: int, error: type[ValueError]) -> None:
+    try:
+        expected = [record for _, record in line_records(text, width, error, "")]
+    except error as exc:
+        with pytest.raises(error) as raised:
+            read_records(text, width, error, "")
+        assert str(raised.value) == str(exc), repr(text)
+    else:
+        assert read_records(text, width, error, "") == expected, repr(text)
+
+
+@pytest.mark.parametrize("kind", ("none", "shift") + CORRUPTIONS)
+@given(seed=st.integers(0, 2**32))
+def test_parsers_match_the_line_reader_in_the_serializers_layout(kind, seed):
+    """Documents whose every line is written the way the serializers write
+    theirs, which ``read_records`` recognises without splitting each line:
+    well formed, with one token moved to the next line, and with each
+    corruption."""
+    rng = random.Random(seed)
+    g, graph_rows, matching_rows, colouring_rows = _documents(rng)
+    for parse, rows, first, width, error, args in (
+        (parse_graph, graph_rows, 1, 2, GraphFormatError, ()),
+        (parse_matching, matching_rows, 0, 2, MatchingFormatError, (g,)),
+        (parse_colouring, colouring_rows, 0, 3, ColouringFormatError, (g,)),
+    ):
+        if kind == "shift":
+            rows = _shift(rows, rng)
+        elif kind != "none":
+            rows = _corrupt(rows, first, kind, g, rng)
+        text = _layout(rows)
+        _check_records(text, width, error)
+        _check_agreement(parse, text, *args)
+
+
+@given(st.integers(0, 2**32))
+def test_serializer_output_reads_back_and_agrees_with_the_line_reader(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng.randrange(0, 11), rng.choice((0.2, 0.4, 0.7)), rng)
+    m = maximum_matching(g)
+    assert _check_agreement(parse_graph, serialize_graph(g)) == g
+    assert _check_agreement(parse_matching, serialize_matching(m), g) == m
+    col = EdgeColouring.from_values(g, [_colour_label(rng) for _ in g.edges])
+    assert _check_agreement(parse_colouring, serialize_colouring(col), g) == col
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        "0 1\n2 3",  # no final LF
+        "0 1\n2 3\n\n",
+        "0 1\r\n2 3\r\n",
+        "0 x\n2 3\n",
+        "0 1.5\n2 3\n",
+        "0 -5\n2 3\n",
+        "-5 -6\n",
+        "# 1\n2 3\n",  # a comment in the layout
+        "0 #\n2 3\n",
+        "0 1\n2 #\n",
+        "0 1 2\n3\n",  # a multiple of the width, in the wrong lines
+        "0\n1 2 3\n",
+        "0 1  2 3\n",
+        "0 1 2 3\n",
+        " 0 1\n2 3\n",
+    ],
+    ids=repr,
+)
+def test_read_records_agrees_with_the_line_reader_near_the_layout(text):
+    _check_records(text, 2, GraphFormatError)
+    _check_agreement(parse_graph, "2 1\n" + text)
+    _check_agreement(parse_matching, text, Graph(4, ((0, 1), (2, 3), (1, 2))))
 
 
 def test_read_records_reads_every_line_ending_and_names_the_first_malformed_line():
