@@ -35,14 +35,6 @@ class BoundEntry(Record):
     den: int
     passed: bool
 
-    def __init__(self, id, relation, lhs_num, rhs_num, den, passed) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "lhs_num", lhs_num)
-        object.__setattr__(self, "rhs_num", rhs_num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "passed", passed)
-
     @property
     def lhs(self) -> Fraction:
         return Fraction(self.lhs_num, self.den)
@@ -112,28 +104,6 @@ class BoundReport(Record):
     ratio: Fraction
     entries: tuple[BoundEntry, ...]
 
-    def __init__(
-        self, n, matching_size, h, colours, matching_colours, non_matching_colours, paired_colours,
-        high_colours, low_colours, low_large, low_small, delta, repetition_total, triangle_free,
-        ratio, entries,
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matching_size", matching_size)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "colours", colours)
-        object.__setattr__(self, "matching_colours", matching_colours)
-        object.__setattr__(self, "non_matching_colours", non_matching_colours)
-        object.__setattr__(self, "paired_colours", paired_colours)
-        object.__setattr__(self, "high_colours", high_colours)
-        object.__setattr__(self, "low_colours", low_colours)
-        object.__setattr__(self, "low_large", low_large)
-        object.__setattr__(self, "low_small", low_small)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "repetition_total", repetition_total)
-        object.__setattr__(self, "triangle_free", triangle_free)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "entries", entries)
-
     @property
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
@@ -145,25 +115,14 @@ class BoundReport(Record):
         raise KeyError(eid)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "matching_size": self.matching_size,
-            "h": self.h,
-            "colours": self.colours,
-            "matching_colours": self.matching_colours,
-            "non_matching_colours": self.non_matching_colours,
-            "paired_colours": self.paired_colours,
-            "high_colours": self.high_colours,
-            "low_colours": self.low_colours,
-            "low_large": self.low_large,
-            "low_small": self.low_small,
-            "delta": self.delta,
-            "repetition_total": self.repetition_total,
-            "triangle_free": self.triangle_free,
-            "ratio": str(self.ratio),
-            "all_passed": self.all_passed,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
+        # Every field but ratio and entries as it is, in slot order.  Those
+        # two are the last slots, so the keys keep their order only while
+        # no slot is added after them.
+        out = {f: getattr(self, f) for f in self.__slots__ if f not in ("ratio", "entries")}
+        out["ratio"] = str(self.ratio)
+        out["all_passed"] = self.all_passed
+        out["entries"] = [e.to_json_dict() for e in self.entries]
+        return out
 
 
 def verify_bound_chain(dec: ColourDecomposition, rp: RepetitionPairs) -> BoundReport:

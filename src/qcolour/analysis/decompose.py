@@ -79,19 +79,6 @@ class ColourDecomposition(Record):
     component_colours: tuple[tuple[int, ...], ...]
     vertex_class: dict[int, int]
 
-    def __init__(
-        self, graph, matching, colouring, matching_colours, non_matching_colours, gm_components,
-        component_colours, vertex_class,
-    ) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "matching", matching)
-        object.__setattr__(self, "colouring", colouring)
-        object.__setattr__(self, "matching_colours", matching_colours)
-        object.__setattr__(self, "non_matching_colours", non_matching_colours)
-        object.__setattr__(self, "gm_components", gm_components)
-        object.__setattr__(self, "component_colours", component_colours)
-        object.__setattr__(self, "vertex_class", vertex_class)
-
     @property
     def h(self) -> int:
         return len(self.gm_components)

@@ -36,13 +36,6 @@ class PairRecord(Record):
     path: tuple[int, ...]
     matched: bool
 
-    def __init__(self, u, v, colour, path, matched) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "colour", colour)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "matched", matched)
-
 
 class ColourPairs(Record):
     """The pairs of one paired matching colour and its class.
@@ -60,12 +53,6 @@ class ColourPairs(Record):
     support: frozenset[int]
     repetition: int
     kind: str
-
-    def __init__(self, records, support, repetition, kind) -> None:
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "repetition", repetition)
-        object.__setattr__(self, "kind", kind)
 
     @property
     def matched(self) -> int:
@@ -89,11 +76,6 @@ class RepetitionPairs(Record):
     records: tuple[PairRecord, ...]
     colours: dict[int, ColourPairs]
     interior_clashes: int
-
-    def __init__(self, records, colours, interior_clashes) -> None:
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "colours", colours)
-        object.__setattr__(self, "interior_clashes", interior_clashes)
 
 
 def _interior_clashes(records: list[PairRecord]) -> int:
@@ -161,9 +143,8 @@ def collect_repetition_pairs(
                 raise AnalysisInvariantError("pair paths must be monochromatic")
             if any(mcl[x] == colour for x in path[1:-1]):
                 raise AnalysisInvariantError("interior vertices must not repeat the pair colour")
-            records.append(
-                PairRecord(u=u, v=v, colour=colour, path=path, matched=m.mate[u] == v)
-            )
+            # Positional: a keyword call takes the slower binding path.
+            records.append(PairRecord(u, v, colour, path, m.mate[u] == v))
     interior_clashes = _interior_clashes(records)
 
     by_colour: dict[int, list[PairRecord]] = {}

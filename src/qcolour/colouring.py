@@ -39,6 +39,8 @@ class EdgeColouring(Record):
     num_colours: int
 
     def __init__(self, graph, colour) -> None:
+        # A tuple, so a list the caller keeps cannot change the colouring.
+        colour = tuple(colour)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "colour", colour)
         if len(colour) != graph.m:
@@ -72,13 +74,6 @@ class ValidityReport(Record):
     colours_used: int
     vertex_colour_counts: tuple[int, ...]
     first_violation: tuple[int, tuple[int, ...]] | None
-
-    def __init__(self, valid, q, colours_used, vertex_colour_counts, first_violation) -> None:
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "colours_used", colours_used)
-        object.__setattr__(self, "vertex_colour_counts", vertex_colour_counts)
-        object.__setattr__(self, "first_violation", first_violation)
 
     def to_json_dict(self) -> dict:
         return {

@@ -41,12 +41,6 @@ class ExactResult(Record):
     nodes_explored: int
     complete: bool
 
-    def __init__(self, opt, witness, nodes_explored, complete) -> None:
-        object.__setattr__(self, "opt", opt)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "nodes_explored", nodes_explored)
-        object.__setattr__(self, "complete", complete)
-
     def to_json_dict(self) -> dict:
         return {
             "opt": self.opt,

@@ -93,8 +93,7 @@ class EdgeSubset(Record):
 
     def __init__(self, graph, members) -> None:
         members = frozenset(members)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "members", members)
+        super().__init__(graph, members)
         if not set(map(type, members)) <= {int}:
             bad = min((eid for eid in members if type(eid) is not int), key=repr)
             raise ValueError(f"edge id {bad!r} is not an int")
@@ -122,10 +121,6 @@ class Component(Record):
 
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
-
-    def __init__(self, vertices, edge_ids) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edge_ids", edge_ids)
 
     @property
     def has_edges(self) -> bool:

@@ -65,22 +65,16 @@ class CertifiedInstance(Record):
     generator: str
     seed: int | None
 
-    def __init__(
-        self, graph, matching, alg_colouring, certified_colouring, generator, seed
-    ) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "matching", matching)
-        object.__setattr__(self, "alg_colouring", alg_colouring)
-        object.__setattr__(self, "certified_colouring", certified_colouring)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "seed", seed)
-        if not is_maximum(graph, matching):
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
+        graph = self.graph
+        if not is_maximum(graph, self.matching):
             raise ValueError("instance matching is not maximum")
-        report = validate(graph, alg_colouring, 2)
+        report = validate(graph, self.alg_colouring, 2)
         if not report.valid:
             raise ValueError("algorithm colouring is not a valid 2-colouring")
-        if certified_colouring is not None:
-            report = validate(graph, certified_colouring, 2)
+        if self.certified_colouring is not None:
+            report = validate(graph, self.certified_colouring, 2)
             if not report.valid:
                 raise ValueError("certified colouring is not a valid 2-colouring")
 

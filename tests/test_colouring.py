@@ -49,6 +49,16 @@ def test_constructor_accepts_the_empty_colouring():
     assert col.colour == () and col.num_colours == 0
 
 
+def test_constructor_copies_a_list_into_a_tuple():
+    g = Graph(3, ((0, 1), (1, 2)))
+    colour = [0, 1]
+    col = EdgeColouring(g, colour)
+    colour[1] = 5
+    assert col.colour == (0, 1)
+    assert repr(col) == f"EdgeColouring(graph={g!r}, colour=(0, 1), num_colours=2)"
+    assert hash(col) == hash(EdgeColouring(g, (0, 1)))
+
+
 def test_from_values_merges_equal_hashables():
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     col = EdgeColouring.from_values(g, [1, True, 1.0, "1"])

@@ -317,3 +317,20 @@ def test_pickle_and_copy_keep_class_and_value(name, clone):
     assert repr(twin) == repr(record)
     for attr in derived:
         assert getattr(twin, attr) == getattr(record, attr)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_takes_the_fields_by_position_or_keyword(name):
+    make, _, fields, _, _ = _cases()[name]
+    record = make()
+    cls = type(record)
+    values = [getattr(record, f) for f in fields]
+    assert cls(*values) == record
+    assert cls(**dict(zip(fields, values))) == record
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    # As many keywords as fields, one of them unknown.
+    with pytest.raises(TypeError, match="no_such_field"):
+        cls(**dict(zip(fields[:-1], values)), no_such_field=values[-1])
