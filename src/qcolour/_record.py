@@ -4,9 +4,12 @@ The records are plain ``__slots__`` classes, not dataclasses: the
 ``dataclass`` decorator generates and execs each class's methods at import,
 which cost about a third of ``import qcolour.cli``.  Instead every record
 shares one constructor, :meth:`Record.__init__`, which fills the slots in
-order, so a class writes no constructor of its own.  Its fields are listed
-in ``__slots__`` and again in class-level annotations; the annotations
-document the field types, and nothing reads them at run time.
+order, so a class writes no constructor of its own.  A keyword call goes
+through a lambda whose parameters are the class's slots, made once per
+class, so the interpreter binds the names and raises the ``TypeError`` a
+function would.  A class lists its fields in ``__slots__`` and again in
+class-level annotations; the annotations document the field types, and
+nothing reads them at run time.
 """
 
 from __future__ import annotations
@@ -34,11 +37,17 @@ class Record:
                 setattr(cls, name, cls.__slots__)
         # The slot descriptors' setters, so a call looks nothing up by name.
         cls._setters = tuple([cls.__dict__[f].__set__ for f in cls.__slots__])
+        # The fields in slot order from any call a function taking them would
+        # accept; its TypeErrors name the class.
+        params = ", ".join(cls.__slots__)
+        bind = eval(f"lambda {params}: ({params},)", {})
+        bind.__qualname__ = cls.__qualname__
+        cls._binder = staticmethod(bind)
 
     def __init__(self, *values, **named) -> None:
         setters = self._setters
         if named or len(values) != len(setters):
-            values = _bind(self.__class__, values, named)
+            values = self._binder(*values, **named)
         for put, value in zip(setters, values):
             put(self, value)
 
@@ -67,25 +76,3 @@ class Record:
         # pickle and copy hand a slots-only instance (None, {slot: value}).
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
-
-
-def _bind(cls: type, values: tuple, named: dict) -> list:
-    """The fields of ``cls(*values, **named)`` in slot order, or the
-    ``TypeError`` a function taking the fields as parameters would raise."""
-    fields = cls.__slots__
-    call = cls.__qualname__
-    if len(values) > len(fields):
-        raise TypeError(
-            f"{call}() takes {len(fields)} positional arguments but {len(values)} were given"
-        )
-    bound = dict(zip(fields, values))
-    for name, value in named.items():
-        if name not in fields:
-            raise TypeError(f"{call}() got an unexpected keyword argument {name!r}")
-        if name in bound:
-            raise TypeError(f"{call}() got multiple values for argument {name!r}")
-        bound[name] = value
-    if len(bound) < len(fields):
-        missing = ", ".join([repr(f) for f in fields if f not in bound])
-        raise TypeError(f"{call}() missing required arguments: {missing}")
-    return [bound[f] for f in fields]

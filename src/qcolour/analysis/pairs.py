@@ -143,7 +143,7 @@ def collect_repetition_pairs(
                 raise AnalysisInvariantError("pair paths must be monochromatic")
             if any(mcl[x] == colour for x in path[1:-1]):
                 raise AnalysisInvariantError("interior vertices must not repeat the pair colour")
-            # Positional: a keyword call takes the slower binding path.
+            # Positional: a keyword call binds through the class's lambda, slower.
             records.append(PairRecord(u, v, colour, path, m.mate[u] == v))
     interior_clashes = _interior_clashes(records)
 

@@ -262,9 +262,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and in-process callers of main() need not rebuild it."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The argument parser and its subparsers by command name, built once
+    per process: parsing leaves them unchanged, and in-process callers of
+    main() need not rebuild them."""
     parser = _Parser(prog="qcolour", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -307,13 +308,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known command goes straight to its subparser: the top-level parse
+    # would scan argv and then run that subparser on the rest, to the same
+    # namespace plus `command`, which no command reads.
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

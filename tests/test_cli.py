@@ -431,6 +431,79 @@ def test_main_reuses_its_parser_without_leaking_state(capsys, square):
     assert json.loads(first[2][1])["family"] == "tf" and json.loads(first[4][1])["family"] == "pm"
 
 
+def test_a_known_command_parses_as_under_the_top_level_parser(capsys, monkeypatch, square):
+    """main sends argv that starts with a command name to that command's
+    parser; every argv must exit, print and parse as the top-level parse of
+    the same argv does."""
+    parser, commands = _build_parser()
+    sq, fig5, cert = str(square), str(FIG5), str(FIG5_CERT)
+    valid = [
+        ["approx", fig5],
+        ["exact", sq, "--q=1", "--budget", "100"],
+        ["verify", fig5, cert, "--q", "2"],
+        ["analyze", fig5, str(FIG5_MATCHING), cert],
+        ["sweep", "--fam", "tf", "--sizes", "4,6", "--count", "1", "--seed", "5"],
+        ["approx", "--", fig5],
+    ]
+    invalid = [
+        [],
+        ["--help"],
+        *([name, "--help"] for name in commands),
+        ["bogus", fig5],
+        ["--bogus", "approx", fig5],
+        ["approx", fig5, "--bogus"],
+        ["--", "approx", fig5],
+        ["sweep", "--"],
+        ["verify", fig5],
+        ["analyze"],
+        ["exact", sq, "--q", "x"],
+        ["sweep", "--count", "1.5"],
+        ["sweep", "--family", "xx"],
+    ]
+    namespaces: list[dict] = []
+
+    def run(argv):
+        namespaces.clear()
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, namespaces[:]
+
+    def top_level_parse_only(argv):
+        raise AssertionError(f"top-level parse of {argv}")
+
+    # Each command records the namespace main hands it.
+    commands_run = {name: sub.get_default("func") for name, sub in commands.items()}
+    for name, sub in commands.items():
+        def spy(args, command=commands_run[name]):
+            namespaces.append(vars(args).copy())
+            return command(args)
+
+        sub.set_defaults(func=spy)
+    try:
+        dispatched = [run(argv) for argv in valid + invalid]
+        with monkeypatch.context() as m:
+            m.setitem(main.__globals__, "_build_parser", lambda: (parser, {}))
+            top_level = [run(argv) for argv in valid + invalid]
+        with monkeypatch.context() as m:
+            m.setattr(parser, "parse_args", top_level_parse_only)
+            assert [run(argv) for argv in valid] == dispatched[: len(valid)]
+    finally:
+        for name, sub in commands.items():
+            sub.set_defaults(func=commands_run[name])
+
+    def without_command(seen):
+        return [{key: value for key, value in args.items() if key != "command"} for args in seen]
+
+    for argv, (code, out, err, seen), (top_code, top_out, top_err, top_seen) in zip(
+        valid + invalid, dispatched, top_level
+    ):
+        assert (code, out, err) == (top_code, top_out, top_err), argv
+        assert without_command(seen) == without_command(top_seen), argv
+    for argv, (code, _, _, seen), (_, _, _, top_seen) in zip(valid, dispatched, top_level):
+        assert code == EXIT_OK and "command" not in seen[0], argv
+        assert top_seen[0]["command"] == argv[0]
+
+
 @contextlib.contextmanager
 def _collector(enabled: bool):
     """Run the body with the cyclic collector on or off, then restore it."""

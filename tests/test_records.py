@@ -328,9 +328,16 @@ def test_constructor_takes_the_fields_by_position_or_keyword(name):
     assert cls(*values) == record
     assert cls(**dict(zip(fields, values))) == record
     with pytest.raises(TypeError):
-        cls(*values[:-1])
-    with pytest.raises(TypeError):
         cls(*values, values[-1])
+    # A missing field, a field given twice and an unknown keyword each raise
+    # the TypeError a function would, naming the class and the field.
+    def fails(message: str):
+        return pytest.raises(TypeError, match=rf"^{name}\b.* {message}$")
+
+    with fails(f"missing 1 required positional argument: '{fields[-1]}'"):
+        cls(*values[:-1])
+    with fails(f"got multiple values for argument '{fields[0]}'"):
+        cls(*values, **{fields[0]: values[0]})
     # As many keywords as fields, one of them unknown.
-    with pytest.raises(TypeError, match="no_such_field"):
+    with fails("got an unexpected keyword argument 'no_such_field'"):
         cls(**dict(zip(fields[:-1], values)), no_such_field=values[-1])
