@@ -17,8 +17,10 @@ from .graph import Graph
 
 ORACLE_EDGE_LIMIT = 12
 DIRECT_EDGE_LIMIT = 8
-# optimal_colouring recurses once per edge; this keeps it well inside
-# Python's default recursion limit of 1000 frames.
+# optimal_colouring recurses once per edge of the component it searches, so
+# its depth is the edge count of the largest component; bounding the whole
+# graph keeps that well inside Python's default recursion limit of 1000
+# frames.
 EXACT_EDGE_LIMIT = 500
 
 
@@ -81,13 +83,26 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     edge the candidates are one fresh colour (tried first, so deep palettes
     are found early) plus every already-used colour that keeps both
     endpoints within budget; assigning fresh colours in first-appearance
-    order means each colour partition is enumerated exactly once.
+    order means each colour partition is enumerated exactly once.  A
+    vertex's palette is one int, bit c set once one of its assigned edges
+    has colour c: a node reads both endpoint masks once, a full palette
+    (``q`` bits) admits only its own colours, listed from its bits in
+    increasing order, and the saved masks are written back after each child.
+
+    Each edge-containing component is one contiguous run of the order, and
+    each run is searched on its own; a run ends once no vertex it touched
+    has an unassigned edge left.  The witness joins the runs' colourings,
+    each run's colours numbered after the earlier runs'.  OPT is additive
+    over components and an optimal colouring shares no colour between two
+    of them, so, fresh colours coming first, the joined witness is the first
+    optimal leaf that one search over the whole order would reach.  On a
+    disconnected graph ``nodes_explored`` is the sum over its components.
 
     Slot bound: a vertex v with unassigned edges has
     ``free(v) = min(q - |palette(v)|, unassigned degree of v)`` slots for
     colours it has not seen, and a colour not used yet needs a slot at both
-    endpoints of some unassigned edge.  So a partial colouring with ``used``
-    colours and ``k`` unassigned edges reaches at most
+    endpoints of some unassigned edge.  So a partial colouring of a run with
+    ``used`` colours and ``k`` unassigned edges reaches at most
     ``used + min(k, S // 2)`` colours, ``S`` the sum of the free slots.  A
     child whose bound cannot beat the incumbent is cut before it counts, so a
     node is a candidate assignment that passed the bound.  Only subtrees that
@@ -103,10 +118,11 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     equal its unassigned degree, read off a per-edge table fixed by the edge
     order.
 
-    ``budget`` caps the node count; exceeding it returns ``complete=False``
-    with the incumbent, or for ``q >= 2`` the matching-based approximation if
-    that has more colours.  Refuses graphs with more than
-    ``EXACT_EDGE_LIMIT`` edges.
+    ``budget`` caps the node count, shared by the runs in order; exceeding
+    it returns ``complete=False`` with the incumbent of the run it stopped
+    in and one colour for each later run, or for ``q >= 2`` the
+    matching-based approximation if that has more colours.  Refuses graphs
+    with more than ``EXACT_EDGE_LIMIT`` edges.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
@@ -124,24 +140,36 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     edges = [g.edges[eid] for eid in order]
     # after_u[i], after_v[i]: unassigned degree of each endpoint once the
     # i-th edge of the order is assigned.  The order is fixed, so these are
-    # static.
+    # static.  Read backwards, a run starts where every vertex met so far
+    # has all its edges met (``pending`` counts the rest); its root S sums
+    # min(q, degree) over those vertices.
     after_u = [0] * m
     after_v = [0] * m
     degree = [0] * g.n
+    runs: list[tuple[int, int, int]] = []  # (start, end, root S), last first
+    end = m
+    pending = 0
+    root_slots = 0
     for i in range(m - 1, -1, -1):
         u, v = edges[i]
+        for w in (u, v):
+            if not degree[w]:
+                d = g.degree(w)
+                pending += d
+                root_slots += min(q, d)
         after_u[i] = degree[u]
         after_v[i] = degree[v]
         degree[u] += 1
         degree[v] += 1
-    root_slots = sum(min(q, d) for d in degree)
+        pending -= 2
+        if not pending:
+            runs.append((i, end, root_slots))
+            end = i
+            root_slots = 0
 
-    # Incumbent: the all-one-colour assignment is valid for every q >= 1.
-    best_count = 1
     best_assign = [0] * m
     assign = [0] * m
-    # palette[v]: colour -> number of assigned edges at v with that colour.
-    palette: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    seen = [0] * g.n
     limit = budget if budget is not None else sys.maxsize
     nodes = 0
     out_of_budget = False
@@ -149,94 +177,95 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     def dfs(i: int, used: int, slots: int) -> None:
         # ``slots`` is S before the i-th edge of the order is assigned.
         nonlocal best_count, nodes, out_of_budget
-        if i == m:
+        if i == end:
             # Only a child that beats the incumbent reaches a leaf.
             best_count = used
-            best_assign[:] = assign
+            best_assign[start:end] = assign[start:end]
             return
         # Children reach at most ``reach`` colours, the fresh one one more.
         # The bound that admitted this node left ``reach >= best_count`` (the
-        # root of a one-edge graph has S = 2), so only S can cut the fresh one.
-        reach = used + m - i - 1
+        # root of a one-edge run has S = 2), so only S can cut the fresh one.
+        reach = used + end - i - 1
         u, v = edges[i]
-        pal_u = palette[u]
-        pal_v = palette[v]
-        room_u = q - len(pal_u)
-        room_v = q - len(pal_v)
+        mask_u = seen[u]
+        mask_v = seen[v]
+        room_u = q - mask_u.bit_count()
+        room_v = q - mask_v.bit_count()
         if room_u and room_v and used + (slots >> 1) > best_count:
             if nodes >= limit:
                 out_of_budget = True
                 return
             nodes += 1
             assign[i] = used
-            pal_u[used] = 1
-            pal_v[used] = 1
+            bit = 1 << used
+            seen[u] = mask_u | bit
+            seen[v] = mask_v | bit
             dfs(i + 1, used + 1, slots - 2)
-            del pal_u[used]
-            del pal_v[used]
+            seen[u] = mask_u
+            seen[v] = mask_v
         if reach <= best_count:
             return
-        # Whether an endpoint keeps its slots under a colour it has seen.
-        keep_u = room_u <= after_u[i]
-        keep_v = room_v <= after_v[i]
+        # The colours under which an endpoint keeps its slots: those it has
+        # seen, if its free slots equal its unassigned degree.
+        kept_u = mask_u if room_u <= after_u[i] else 0
+        kept_v = mask_v if room_v <= after_v[i] else 0
         base = slots - 2
-        # A reused colour that both endpoints have seen keeps the most slots.
-        if used + ((base + keep_u + keep_v) >> 1) <= best_count:
+        # A reused colour that both endpoints keep keeps the most slots.
+        if used + ((base + (kept_u > 0) + (kept_v > 0)) >> 1) <= best_count:
             return
-        # A full palette admits only its own colours; iterate those directly,
-        # still in increasing order.
+        # A full palette admits only its own colours.
         if room_u and room_v:
-            reusable = range(used)
+            reusable = (1 << used) - 1
         elif room_u:
-            reusable = sorted(pal_v)
+            reusable = mask_v
         elif room_v:
-            reusable = sorted(pal_u)
+            reusable = mask_u
         else:
-            reusable = sorted(pal_u.keys() & pal_v.keys())
-        for c in reusable:
-            seen_u = c in pal_u
-            seen_v = c in pal_v
-            child = base + (seen_u and keep_u) + (seen_v and keep_v)
+            reusable = mask_u & mask_v
+        while reusable:
+            bit = reusable & -reusable
+            reusable ^= bit
+            child = base + (kept_u & bit > 0) + (kept_v & bit > 0)
             if used + (child >> 1) <= best_count:
                 continue
             if nodes >= limit:
                 out_of_budget = True
                 return
             nodes += 1
-            assign[i] = c
-            pal_u[c] = pal_u[c] + 1 if seen_u else 1
-            pal_v[c] = pal_v[c] + 1 if seen_v else 1
+            assign[i] = bit.bit_length() - 1
+            seen[u] = mask_u | bit
+            seen[v] = mask_v | bit
             dfs(i + 1, used, child)
-            if seen_u:
-                pal_u[c] -= 1
-            else:
-                del pal_u[c]
-            if seen_v:
-                pal_v[c] -= 1
-            else:
-                del pal_v[c]
+            seen[u] = mask_u
+            seen[v] = mask_v
             # The child may have raised the incumbent past ``reach``.
             if reach <= best_count:
                 return
 
-    dfs(0, 0, root_slots)
+    by_id = [0] * m
+    offset = 0
+    for start, end, root_slots in reversed(runs):
+        # Incumbent: the all-one-colour assignment, valid for q >= 1.
+        best_count = 1
+        if not out_of_budget:
+            dfs(start, 0, root_slots)
+        for i in range(start, end):
+            by_id[order[i]] = offset + best_assign[i]
+        offset += best_count
     # dfs holds itself through its closure cell, a reference cycle only the
     # cyclic collector would free, and commands run with that paused.
     del dfs
-    by_id = [0] * m
-    for i, eid in enumerate(order):
-        by_id[eid] = best_assign[i]
     witness = EdgeColouring.from_values(g, by_id)
     if out_of_budget and q >= 2:
         approx = matching_based_colouring(g)[0]
-        if approx.num_colours > best_count:
+        if approx.num_colours > offset:
             witness = approx
-            best_count = approx.num_colours
-    if witness.num_colours != best_count:
+            offset = approx.num_colours
+    if witness.num_colours != offset:
         raise RuntimeError(
-            f"witness has {witness.num_colours} colours, search counted {best_count}"
+            f"witness has {witness.num_colours} colours, search counted {offset}"
         )
-    return ExactResult(best_count, witness, nodes, not out_of_budget)
+    return ExactResult(offset, witness, nodes, not out_of_budget)
 
 
 def oracle_optimal(g: Graph, q: int = 2) -> int:

@@ -18,7 +18,7 @@ from qcolour import (
     serialize_graph,
     validate,
 )
-from qcolour.cli import EXIT_OK, main
+from qcolour.cli import EXIT_INCOMPLETE, EXIT_OK, main
 from qcolour.exact import EXACT_EDGE_LIMIT, bfs_edge_order
 from qcolour.instances import (
     fig5_lower_bound,
@@ -34,8 +34,10 @@ from helpers import bfs_components, random_graph, relabelled_union
 # incumbent, so both must stay identical.
 PINNED_EXACT_DIGEST = "a67eda8a3f0319fc2e2d8668dc58d5fed468291f84c376923bd7205245055698"
 # SHA-256 over (opt, nodes_explored, witness) of the same fixtures plus the
-# budgeted runs below: a cheaper node must still be the same node.
-PINNED_NODE_DIGEST = "20d664937e7bcca93acf24ac95ca77ba5f57dad2ede67d6f68848327aeb137c0"
+# budgeted runs below: a cheaper node must still be the same node.  Each
+# component is searched on its own, so a disconnected fixture counts the sum
+# of its components' nodes.
+PINNED_NODE_DIGEST = "62c55368f16a032a028e80b6db2723e6de84dcc79defaa6dce27337c74c35005"
 
 
 @pytest.mark.parametrize(
@@ -251,6 +253,62 @@ def test_solver_matches_oracle_on_random_graphs():
             first_seen = list(dict.fromkeys(res.witness.colour))
             assert first_seen == list(range(opt))
     assert restarts >= 60
+
+
+def _metamorphic_graphs():
+    """Both families at n = 12 and 14, seeds 0-2: 10 to 31 edges, most past
+    the oracle's 12."""
+    for gen in (random_with_perfect_matching, random_triangle_free_with_pm):
+        for n in (12, 14):
+            for seed in range(3):
+                yield gen(n, 0.3, seed).graph
+
+
+def test_optimum_obeys_metamorphic_relations_past_the_oracle():
+    # Relations that hold for every graph, checked where no enumeration
+    # reaches.  OPT is additive over components: split any colouring's
+    # classes by component.  Relabelling vertices, reordering edges and
+    # adding isolated vertices change nothing.  Deleting an edge e loses at
+    # most its own class; to add e back, merge two classes, which raises no
+    # vertex's colour count.
+    rng = random.Random(2018)
+    graphs = list(_metamorphic_graphs())
+    opts = []
+    for g in graphs:
+        res = optimal_colouring(g)
+        assert res.complete
+        opts.append(res.opt)
+    for k, g in enumerate(graphs):
+        copy = relabelled_union([g], rng.randint(1, 3), rng)
+        assert optimal_colouring(copy).opt == opts[k]
+        # The union with the previous graph, labels interleaved.
+        union = relabelled_union([g, graphs[k - 1]], rng.randint(0, 2), rng)
+        res = optimal_colouring(union)
+        assert res.complete and res.opt == opts[k] + opts[k - 1]
+        assert validate(union, res.witness, 2).valid
+        for eid in rng.sample(range(g.m), 3):
+            smaller = Graph(g.n, g.edges[:eid] + g.edges[eid + 1 :])
+            assert abs(optimal_colouring(smaller).opt - opts[k]) <= 1
+
+
+def test_budget_is_shared_by_the_components(capsys, tmp_path):
+    # Alone, the first component takes 2,716 nodes and the second 771, so a
+    # budget of 3,000 runs out inside the second.
+    first = random_with_perfect_matching(10, 0.3, 1).graph
+    second = random_with_perfect_matching(10, 0.3, 2).graph
+    assert optimal_colouring(first).nodes_explored == 2716
+    assert optimal_colouring(second).nodes_explored == 771
+    g = Graph(20, first.edges + tuple((u + 10, v + 10) for u, v in second.edges))
+    assert optimal_colouring(g).nodes_explored == 2716 + 771
+    res = optimal_colouring(g, budget=3000)
+    assert not res.complete and res.nodes_explored == 3000
+    assert validate(g, res.witness, 2).valid
+    assert res.opt == res.witness.num_colours
+    assert res.opt >= matching_based_colouring(g)[0].num_colours
+    path = tmp_path / "union.graph"
+    path.write_text(serialize_graph(g))
+    assert main(["exact", str(path), "--budget", "3000"]) == EXIT_INCOMPLETE
+    assert json.loads(capsys.readouterr().out) == res.to_json_dict()
 
 
 def test_oracle_refuses_oversized_input():
