@@ -2,33 +2,42 @@
 
 The records are plain ``__slots__`` classes, not dataclasses: the
 ``dataclass`` decorator generates and execs each class's methods at import,
-which cost about a third of ``import qcolour.cli``.  Instead every record
-shares one constructor, :meth:`Record.__init__`, which fills the slots in
-order, so a class writes no constructor of its own.  A keyword call goes
-through a lambda whose parameters are the class's slots, made once per
-class, so the interpreter binds the names and raises the ``TypeError`` a
-function would.  A class lists its fields in ``__slots__`` and again in
-class-level annotations; the annotations document the field types, and
-nothing reads them at run time.
+which cost about a third of ``import qcolour.cli``.  A record class lists
+its fields once, as class-level annotations, and they become its
+``__slots__``.  Every record shares one constructor, :meth:`Record.__init__`,
+which sets every field; a class that derives fields works them out in its
+own ``__init__`` and passes them all on.  A keyword call goes through a
+lambda whose parameters are the class's fields, made once per class, so the
+interpreter binds the names and raises the ``TypeError`` a function would.
+From Python 3.14 on a class body fills ``__annotations__`` only under
+``from __future__ import annotations``, which every module here has.
 """
 
 from __future__ import annotations
 
 
-class Record:
-    """An immutable value with fields in ``__slots__``.
+class _RecordType(type):
+    """Makes each record class's ``__slots__`` its annotated fields, in order."""
 
-    ``Record(*values, **named)`` sets the fields in ``__slots__`` order and
+    def __new__(mcs, name, bases, namespace, **kwargs):
+        if "__slots__" in namespace:
+            raise TypeError(f"record class {name} lists its fields as annotations, not __slots__")
+        namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        return super().__new__(mcs, name, bases, namespace, **kwargs)
+
+
+class Record(metaclass=_RecordType):
+    """An immutable value whose fields are its class-level annotations.
+
+    ``Record(*values, **named)`` sets the fields in annotation order and
     takes them as a function with those parameters would.  A subclass
-    whose slots are not all arguments defines its own ``__init__`` and sets
-    each field with ``object.__setattr__``; afterwards assigning or deleting
-    any attribute raises ``AttributeError``.  ``_eq``, ``_hash`` and
-    ``_repr`` name the fields that equality, the hash and ``repr`` read, in
-    that order; each defaults to ``__slots__``.  Instances of different
-    classes never compare equal.
+    whose fields are not all arguments defines its own ``__init__``, works
+    out the derived fields and passes every field to ``Record.__init__``;
+    afterwards assigning or deleting any attribute raises
+    ``AttributeError``.  ``_eq``, ``_hash`` and ``_repr`` name the fields
+    that equality, the hash and ``repr`` read, in that order; each defaults
+    to all fields.  Instances of different classes never compare equal.
     """
-
-    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

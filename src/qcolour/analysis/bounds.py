@@ -26,8 +26,6 @@ class BoundEntry(Record):
     sides stored as integer numerators over the common positive
     denominator ``den``."""
 
-    __slots__ = ("id", "relation", "lhs_num", "rhs_num", "den", "passed")
-
     id: str
     relation: str
     lhs_num: int
@@ -81,12 +79,6 @@ class BoundReport(Record):
     order; ``all_passed`` is the conjunction of their outcomes.
     """
 
-    __slots__ = (
-        "n", "matching_size", "h", "colours", "matching_colours", "non_matching_colours",
-        "paired_colours", "high_colours", "low_colours", "low_large", "low_small", "delta",
-        "repetition_total", "triangle_free", "ratio", "entries",
-    )
-
     n: int
     matching_size: int
     h: int
@@ -115,9 +107,9 @@ class BoundReport(Record):
         raise KeyError(eid)
 
     def to_json_dict(self) -> dict:
-        # Every field but ratio and entries as it is, in slot order.  Those
-        # two are the last slots, so the keys keep their order only while
-        # no slot is added after them.
+        # Every field but ratio and entries as it is, in field order.  Those
+        # two are the last annotations, so the keys keep their order only
+        # while no field is annotated after them.
         out = {f: getattr(self, f) for f in self.__slots__ if f not in ("ratio", "entries")}
         out["ratio"] = str(self.ratio)
         out["all_passed"] = self.all_passed

@@ -64,11 +64,10 @@ class ColourDecomposition(Record):
     being a dict, not hashed.
     """
 
-    __slots__ = (
+    _hash = (
         "graph", "matching", "colouring", "matching_colours", "non_matching_colours",
-        "gm_components", "component_colours", "vertex_class",
+        "gm_components", "component_colours",
     )
-    _hash = __slots__[:-1]  # all but vertex_class
 
     graph: Graph
     matching: Matching

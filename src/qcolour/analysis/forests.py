@@ -35,7 +35,6 @@ class RootedTree(Record):
     ``children`` is not a tree on edges of ``graph`` hanging from it.
     """
 
-    __slots__ = ("graph", "root", "children", "postorder", "parent", "parent_edge", "index")
     _eq = _hash = _repr = ("graph", "root", "children", "postorder")
 
     graph: Graph
@@ -47,9 +46,6 @@ class RootedTree(Record):
     index: dict[int, int]
 
     def __init__(self, graph, root, children) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "children", children)
         if not 0 <= root < graph.n:
             raise ValueError(f"root {root} is not a vertex of the graph")
         parent: dict[int, int] = {}
@@ -74,10 +70,8 @@ class RootedTree(Record):
         post = pre[::-1]
         if not children.keys() <= parent.keys() | {root}:
             raise ValueError("some vertex is cut off from the root")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "parent_edge", parent_edge)
-        object.__setattr__(self, "postorder", tuple(post))
-        object.__setattr__(self, "index", {v: i for i, v in enumerate(post)})
+        index = {v: i for i, v in enumerate(post)}
+        super().__init__(graph, root, children, tuple(post), parent, parent_edge, index)
 
     @classmethod
     def build(cls, graph: Graph, root: int, parent: dict[int, int]) -> RootedTree:
@@ -141,7 +135,6 @@ class RootedForestSeq(Record):
     shared vertices, form an acyclic order.
     """
 
-    __slots__ = ("graph", "forests", "tree_pairs", "_trees")
     _eq = _hash = _repr = ("graph", "forests", "tree_pairs")
 
     graph: Graph
@@ -150,9 +143,6 @@ class RootedForestSeq(Record):
     _trees: tuple[RootedTree, ...]
 
     def __init__(self, graph, forests, tree_pairs) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "forests", forests)
-        object.__setattr__(self, "tree_pairs", tree_pairs)
         trees = tuple(tree for forest in forests for tree in forest)
         rounds = [i for i, forest in enumerate(forests) for _ in forest]
         if len(tree_pairs) != len(trees):
@@ -171,7 +161,7 @@ class RootedForestSeq(Record):
                 rounds[up] != rounds[t] - 1 or trees[up].children.get(tree.root)
             ):
                 raise ValueError("a root may only reuse a leaf of the immediately earlier forest")
-        object.__setattr__(self, "_trees", trees)
+        super().__init__(graph, forests, tree_pairs, trees)
 
     def trees(self) -> tuple[RootedTree, ...]:
         return self._trees

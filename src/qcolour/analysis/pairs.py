@@ -28,8 +28,6 @@ class PairRecord(Record):
     true when ``u`` and ``v`` are partners of the same matching edge.
     """
 
-    __slots__ = ("u", "v", "colour", "path", "matched")
-
     u: int
     v: int
     colour: int
@@ -46,8 +44,6 @@ class ColourPairs(Record):
     is low: ``"low_large"`` with a support of six or more vertices,
     ``"low_small"`` with four.
     """
-
-    __slots__ = ("records", "support", "repetition", "kind")
 
     records: tuple[PairRecord, ...]
     support: frozenset[int]
@@ -70,7 +66,6 @@ class RepetitionPairs(Record):
     pairs of different colours whose paths share an interior vertex.
     """
 
-    __slots__ = ("records", "colours", "interior_clashes")
     _hash = ("records", "interior_clashes")
 
     records: tuple[PairRecord, ...]

@@ -31,7 +31,6 @@ class EdgeColouring(Record):
     derived: shown, but not compared.
     """
 
-    __slots__ = ("graph", "colour", "num_colours")
     _eq = _hash = ("graph", "colour")
 
     graph: Graph
@@ -41,8 +40,6 @@ class EdgeColouring(Record):
     def __init__(self, graph, colour) -> None:
         # A tuple, so a list the caller keeps cannot change the colouring.
         colour = tuple(colour)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "colour", colour)
         if len(colour) != graph.m:
             raise ValueError(f"expected {graph.m} colour entries, got {len(colour)}")
         if not set(map(type, colour)) <= {int}:
@@ -53,7 +50,7 @@ class EdgeColouring(Record):
         firsts = list(dict.fromkeys(colour))
         if firsts != list(range(len(firsts))):
             raise ValueError("colours must be canonical: 0..c-1 in order of first appearance")
-        object.__setattr__(self, "num_colours", len(firsts))
+        super().__init__(graph, colour, len(firsts))
 
     @classmethod
     def from_values(cls, g: Graph, values) -> EdgeColouring:
@@ -66,8 +63,6 @@ class EdgeColouring(Record):
 
 class ValidityReport(Record):
     """Outcome of checking a colouring against the per-vertex budget q."""
-
-    __slots__ = ("valid", "q", "colours_used", "vertex_colour_counts", "first_violation")
 
     valid: bool
     q: int

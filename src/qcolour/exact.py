@@ -36,8 +36,6 @@ class ExactResult(Record):
     """Outcome of an exact search: the best colour count found, one witness
     colouring achieving it, and whether the search space was exhausted."""
 
-    __slots__ = ("opt", "witness", "nodes_explored", "complete")
-
     opt: int
     witness: EdgeColouring
     nodes_explored: int

@@ -33,7 +33,6 @@ class Graph(Record):
     derived, so neither is compared or shown.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_ids")
     _eq = _hash = _repr = ("n", "edges")
 
     n: int
@@ -45,8 +44,6 @@ class Graph(Record):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = tuple(edges)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
         ids: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, edge in enumerate(edges):
@@ -67,8 +64,7 @@ class Graph(Record):
             adj[v].append((u, eid))
         # Through a list, so the tuple is made at its final length, as in
         # matching_based_colouring.
-        object.__setattr__(self, "adjacency", tuple([tuple(row) for row in adj]))
-        object.__setattr__(self, "_ids", ids)
+        super().__init__(n, edges, tuple([tuple(row) for row in adj]), ids)
 
     @property
     def m(self) -> int:
@@ -85,8 +81,6 @@ class Graph(Record):
 class EdgeSubset(Record):
     """A set of edge ids over a parent graph.  Every id is an ``int`` in
     ``0..m-1``."""
-
-    __slots__ = ("graph", "members")
 
     graph: Graph
     members: frozenset[int]
@@ -116,8 +110,6 @@ class Component(Record):
     """One connected component of a spanning subgraph: its vertices (sorted),
     the ids of the kept edges inside it (sorted), and whether any edge is
     present."""
-
-    __slots__ = ("vertices", "edge_ids")
 
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]

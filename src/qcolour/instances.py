@@ -56,8 +56,6 @@ class CertifiedInstance(Record):
     ``CertifiedInstance`` is proof the instance is sound.
     """
 
-    __slots__ = ("graph", "matching", "alg_colouring", "certified_colouring", "generator", "seed")
-
     graph: Graph
     matching: Matching
     alg_colouring: EdgeColouring

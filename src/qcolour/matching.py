@@ -21,7 +21,6 @@ class Matching(Record):
     ``None`` when ``v`` is exposed.  Neither is compared or shown.
     """
 
-    __slots__ = ("edges", "mate", "mate_edge")
     _eq = _hash = _repr = ("edges",)
 
     edges: EdgeSubset
@@ -29,7 +28,6 @@ class Matching(Record):
     mate_edge: tuple[int | None, ...]
 
     def __init__(self, edges) -> None:
-        object.__setattr__(self, "edges", edges)
         g = edges.graph
         mate: list[int | None] = [None] * g.n
         mate_edge: list[int | None] = [None] * g.n
@@ -40,8 +38,7 @@ class Matching(Record):
             mate[u] = v
             mate[v] = u
             mate_edge[u] = mate_edge[v] = eid
-        object.__setattr__(self, "mate", tuple(mate))
-        object.__setattr__(self, "mate_edge", tuple(mate_edge))
+        super().__init__(edges, tuple(mate), tuple(mate_edge))
 
     @classmethod
     def from_edge_ids(cls, g: Graph, ids) -> Matching:

@@ -255,13 +255,33 @@ def test_solver_matches_oracle_on_random_graphs():
     assert restarts >= 60
 
 
-def _metamorphic_graphs():
-    """Both families at n = 12 and 14, seeds 0-2: 10 to 31 edges, most past
-    the oracle's 12."""
+def _metamorphic_graphs(sizes=(12, 14)):
+    """Both families at each n in ``sizes``, seeds 0-2.  At n = 12 and 14
+    they have 10 to 31 edges, most past the oracle's 12."""
     for gen in (random_with_perfect_matching, random_triangle_free_with_pm):
-        for n in (12, 14):
+        for n in sizes:
             for seed in range(3):
                 yield gen(n, 0.3, seed).graph
+
+
+def _component_optima(graphs: list[Graph], q: int, rng: random.Random) -> list[int]:
+    """OPT of each graph at budget ``q``, once relabelling vertices,
+    reordering edges and adding isolated vertices have been checked to keep
+    it, and OPT of the union with the previous graph, labels interleaved,
+    to be the sum of the two with a witness valid for ``q``."""
+    opts = []
+    for g in graphs:
+        res = optimal_colouring(g, q)
+        assert res.complete
+        opts.append(res.opt)
+    for k, g in enumerate(graphs):
+        copy = relabelled_union([g], rng.randint(1, 3), rng)
+        assert optimal_colouring(copy, q).opt == opts[k]
+        union = relabelled_union([g, graphs[k - 1]], rng.randint(0, 2), rng)
+        res = optimal_colouring(union, q)
+        assert res.complete and res.opt == opts[k] + opts[k - 1]
+        assert validate(union, res.witness, q).valid
+    return opts
 
 
 def test_optimum_obeys_metamorphic_relations_past_the_oracle():
@@ -273,22 +293,17 @@ def test_optimum_obeys_metamorphic_relations_past_the_oracle():
     # vertex's colour count.
     rng = random.Random(2018)
     graphs = list(_metamorphic_graphs())
-    opts = []
-    for g in graphs:
-        res = optimal_colouring(g)
-        assert res.complete
-        opts.append(res.opt)
+    opts = _component_optima(graphs, 2, rng)
     for k, g in enumerate(graphs):
-        copy = relabelled_union([g], rng.randint(1, 3), rng)
-        assert optimal_colouring(copy).opt == opts[k]
-        # The union with the previous graph, labels interleaved.
-        union = relabelled_union([g, graphs[k - 1]], rng.randint(0, 2), rng)
-        res = optimal_colouring(union)
-        assert res.complete and res.opt == opts[k] + opts[k - 1]
-        assert validate(union, res.witness, 2).valid
         for eid in rng.sample(range(g.m), 3):
             smaller = Graph(g.n, g.edges[:eid] + g.edges[eid + 1 :])
             assert abs(optimal_colouring(smaller).opt - opts[k]) <= 1
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_components_and_relabelling_keep_the_optimum_at_other_budgets(q):
+    # At q = 3 the search takes seconds at n = 14, so the graphs stop at 12.
+    _component_optima(list(_metamorphic_graphs((10, 12))), q, random.Random(2018 + q))
 
 
 def test_budget_is_shared_by_the_components(capsys, tmp_path):

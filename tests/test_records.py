@@ -341,3 +341,21 @@ def test_constructor_takes_the_fields_by_position_or_keyword(name):
     # As many keywords as fields, one of them unknown.
     with fails("got an unexpected keyword argument 'no_such_field'"):
         cls(**dict(zip(fields[:-1], values)), no_such_field=values[-1])
+
+
+def test_a_record_class_lists_its_fields_once():
+    # The annotations are the fields and become the slots, in order; a class
+    # that also wrote __slots__ would keep two lists that must agree.
+    from qcolour._record import Record
+
+    class Point(Record):
+        x: int
+        y: int
+
+    assert Point.__slots__ == ("x", "y")
+    assert Point(1, y=2) == Point(1, 2)
+    with pytest.raises(TypeError, match="Twice lists its fields as annotations"):
+
+        class Twice(Record):
+            __slots__ = ("x",)
+            x: int

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+DATA = SRC / "qcolour" / "data"
 
 # Stdlib modules that are slow to import.  The records are plain slots
 # classes whose shared constructor lets the interpreter bind keywords
@@ -56,3 +59,71 @@ def test_src_raises_rather_than_asserts():
             if ASSERT_LINE.search(line):
                 found.append(f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
     assert found == []
+
+
+def test_src_imports_no_unused_name(monkeypatch):
+    # A name imported in src/ must be used in its module or listed in its
+    # __all__.  On an import line marked "# noqa: F401" an unused name is
+    # accepted only where bench/tracing.py probes it: (module, name) is in
+    # PROBES, so the import goes stale once its probe is gone.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench.tracing import PROBES
+
+    probes = {(module, name) for module, name, _, _ in PROBES}
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            probed = any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            )
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used and not (probed and (module, name) in probes):
+                    unused.append(f"{path.relative_to(SRC)}:{node.lineno}: {name} is unused")
+    assert unused == []
+
+
+def test_record_fields_are_set_only_by_the_record_base():
+    # Record.__init__ fills every field, and __setstate__ every field of a
+    # pickled or copied record; no other code sets a slot around them.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "_record.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if "object.__setattr__" in line:
+                found.append(f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
+    assert found == []
+
+
+def test_comments_blank_lines_and_crlf_endings_do_not_change_the_analysis(capsys, tmp_path):
+    from qcolour.cli import EXIT_OK, main
+
+    names = ("fig5.graph", "fig5.matching", "fig5_58.colouring")
+    # As shipped, the files hold no comment, so read_records splits them
+    # whole; the rewritten copies add a comment, a blank line and CRLF
+    # endings.
+    for name in names:
+        text = (DATA / name).read_bytes()
+        assert b"#" not in text, f"{name} must hold no comment"
+        (tmp_path / name).write_bytes((b"# comment\n\n" + text).replace(b"\n", b"\r\n"))
+    outputs = []
+    for folder in (DATA, tmp_path):
+        assert main(["analyze", *(str(folder / name) for name in names)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
