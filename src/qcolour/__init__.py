@@ -24,9 +24,7 @@ from .exact import (
     PatternAbsentError,
     SearchIncompleteError,
     anti_ramsey_star,
-    direct_anti_ramsey_star,
     optimal_colouring,
-    oracle_optimal,
 )
 from .graph import (
     Component,
@@ -74,7 +72,6 @@ __all__ = [
     "__version__",
     "anti_ramsey_star",
     "components",
-    "direct_anti_ramsey_star",
     "fig5_lower_bound",
     "is_maximum",
     "is_perfect",
@@ -83,7 +80,6 @@ __all__ = [
     "maximum_matching",
     "named",
     "optimal_colouring",
-    "oracle_optimal",
     "parse_colouring",
     "parse_graph",
     "parse_matching",

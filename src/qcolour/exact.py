@@ -2,9 +2,8 @@
 threshold it determines.
 
 The optimum for budget q equals one less than the smallest palette size that
-forces a rainbow (q+1)-star somewhere, so the two quantities cross-check each
-other; both a pruned branch-and-bound solver and deliberately unpruned
-enumeration oracles are provided.
+forces a rainbow (q+1)-star somewhere, so one pruned branch-and-bound search
+gives both.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from ._record import Record
 from .colouring import EdgeColouring, matching_based_colouring
 from .graph import Graph
 
-ORACLE_EDGE_LIMIT = 12
-DIRECT_EDGE_LIMIT = 8
 # optimal_colouring recurses once per edge of the component it searches, so
 # its depth is the edge count of the largest component; bounding the whole
 # graph keeps that well inside Python's default recursion limit of 1000
@@ -266,109 +263,17 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     return ExactResult(offset, witness, nodes, not out_of_budget)
 
 
-def oracle_optimal(g: Graph, q: int = 2) -> int:
-    """Reference optimum by enumerating colour partitions of the edge set as
-    restricted growth strings, keeping those where every vertex stays within
-    budget, and returning the maximum block count.
-
-    A prefix is abandoned as soon as some vertex already exceeds q — validity
-    only ever degrades as edges are added, so exactly the valid complete
-    partitions survive.  No other pruning.  Refuses graphs with more than
-    ``ORACLE_EDGE_LIMIT`` edges.
-    """
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    if g.m > ORACLE_EDGE_LIMIT:
-        raise ValueError(
-            f"oracle limited to {ORACLE_EDGE_LIMIT} edges, graph has {g.m}"
-        )
-    m = g.m
-    if m == 0:
-        return 0
-    best = 0
-    vertex_seen: list[dict[int, int]] = [dict() for _ in range(g.n)]
-
-    def ok(eid: int, c: int) -> bool:
-        u, v = g.edges[eid]
-        su, sv = vertex_seen[u], vertex_seen[v]
-        return (c in su or len(su) < q) and (c in sv or len(sv) < q)
-
-    def place(eid: int, c: int, delta: int) -> None:
-        for v in g.edges[eid]:
-            seen = vertex_seen[v]
-            seen[c] = seen.get(c, 0) + delta
-            if not seen[c]:
-                del seen[c]
-
-    def rec(eid: int, used: int) -> None:
-        nonlocal best
-        if eid == m:
-            best = max(best, used)
-            return
-        for c in range(used + 1):
-            if ok(eid, c):
-                place(eid, c, +1)
-                rec(eid + 1, used + (1 if c == used else 0))
-                place(eid, c, -1)
-
-    rec(0, 0)
-    del rec  # break the closure's cycle, as optimal_colouring does with dfs
-    return best
-
-
-def _require_star(g: Graph, t: int) -> None:
-    if t < 2:
-        raise ValueError("star size t must be at least 2")
-    if all(g.degree(v) < t for v in range(g.n)):
-        raise PatternAbsentError(f"pattern absent: no vertex has degree >= {t}")
-
-
 def anti_ramsey_star(g: Graph, t: int, budget: int | None = None) -> int:
     """Smallest palette size that forces a rainbow t-star in every surjective
     colouring, via the exact optimum for budget t-1 plus one.  Raises
     :class:`PatternAbsentError` when no vertex has degree t."""
-    _require_star(g, t)
+    if t < 2:
+        raise ValueError("star size t must be at least 2")
+    if all(g.degree(v) < t for v in range(g.n)):
+        raise PatternAbsentError(f"pattern absent: no vertex has degree >= {t}")
     res = optimal_colouring(g, t - 1, budget)
     if not res.complete:
         raise SearchIncompleteError(
             f"exact search exhausted its budget after {res.nodes_explored} nodes"
         )
     return res.opt + 1
-
-
-def direct_anti_ramsey_star(g: Graph, t: int) -> int:
-    """The same threshold, computed from its definition: enumerate every
-    colour partition of the edges (each one is a surjective colouring, up to
-    renaming) and test for a vertex with t incident edges in pairwise
-    distinct colours.  The largest rainbow-free block count plus one is the
-    answer.  Refuses graphs with more than ``DIRECT_EDGE_LIMIT`` edges, and
-    graphs with no vertex of degree t (no copy of the star to force)."""
-    _require_star(g, t)
-    if g.m > DIRECT_EDGE_LIMIT:
-        raise ValueError(
-            f"direct enumeration limited to {DIRECT_EDGE_LIMIT} edges, graph has {g.m}"
-        )
-    m = g.m
-    assign = [0] * m
-    best = 0
-
-    def rainbow_free() -> bool:
-        for v in range(g.n):
-            distinct = {assign[eid] for _, eid in g.adjacency[v]}
-            if len(distinct) >= t:
-                return False
-        return True
-
-    def rec(eid: int, used: int) -> None:
-        nonlocal best
-        if eid == m:
-            if used > best and rainbow_free():
-                best = used
-            return
-        for c in range(used + 1):
-            assign[eid] = c
-            rec(eid + 1, used + (1 if c == used else 0))
-
-    rec(0, 0)
-    del rec  # break the closure's cycle, as optimal_colouring does with dfs
-    return best + 1

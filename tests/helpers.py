@@ -18,6 +18,7 @@ from qcolour import (
     GraphFormatError,
     Matching,
     MatchingFormatError,
+    PatternAbsentError,
     maximum_matching,
 )
 from qcolour.analysis import (
@@ -28,6 +29,11 @@ from qcolour.analysis import (
     tree_repetition_pairs,
 )
 from qcolour.graph import MAX_VERTICES, InvalidEdgeError
+
+# Edge caps of oracle_optimal and direct_anti_ramsey_star: each enumerates
+# colour partitions of the edges, as many as the Bell number of the count.
+ORACLE_EDGE_LIMIT = 12
+DIRECT_EDGE_LIMIT = 8
 
 
 def brute_force_matching_size(g: Graph) -> int:
@@ -133,6 +139,97 @@ def union_find_components(g: Graph, drop: EdgeSubset | None = None) -> list[Comp
     for eid in kept:
         eids[where[edges[eid][0]]].append(eid)
     return [Component(tuple(vs), tuple(es)) for vs, es in zip(verts, eids)]
+
+
+def oracle_optimal(g: Graph, q: int = 2) -> int:
+    """Reference optimum by enumerating colour partitions of the edge set as
+    restricted growth strings, keeping those where every vertex stays within
+    budget, and returning the maximum block count.
+
+    A prefix is abandoned as soon as some vertex already exceeds q — validity
+    only ever degrades as edges are added, so exactly the valid complete
+    partitions survive.  No other pruning.  Refuses graphs with more than
+    ``ORACLE_EDGE_LIMIT`` edges.
+    """
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    if g.m > ORACLE_EDGE_LIMIT:
+        raise ValueError(
+            f"oracle limited to {ORACLE_EDGE_LIMIT} edges, graph has {g.m}"
+        )
+    m = g.m
+    if m == 0:
+        return 0
+    best = 0
+    vertex_seen: list[dict[int, int]] = [dict() for _ in range(g.n)]
+
+    def ok(eid: int, c: int) -> bool:
+        u, v = g.edges[eid]
+        su, sv = vertex_seen[u], vertex_seen[v]
+        return (c in su or len(su) < q) and (c in sv or len(sv) < q)
+
+    def place(eid: int, c: int, delta: int) -> None:
+        for v in g.edges[eid]:
+            seen = vertex_seen[v]
+            seen[c] = seen.get(c, 0) + delta
+            if not seen[c]:
+                del seen[c]
+
+    def rec(eid: int, used: int) -> None:
+        nonlocal best
+        if eid == m:
+            best = max(best, used)
+            return
+        for c in range(used + 1):
+            if ok(eid, c):
+                place(eid, c, +1)
+                rec(eid + 1, used + (1 if c == used else 0))
+                place(eid, c, -1)
+
+    rec(0, 0)
+    del rec  # break the closure's cycle, as optimal_colouring does with dfs
+    return best
+
+
+def direct_anti_ramsey_star(g: Graph, t: int) -> int:
+    """The threshold ``anti_ramsey_star`` computes, taken from its
+    definition: enumerate every colour partition of the edges (each one is a
+    surjective colouring, up to renaming) and test for a vertex with t
+    incident edges in pairwise distinct colours.  The largest rainbow-free block count plus one is the
+    answer.  Refuses graphs with more than ``DIRECT_EDGE_LIMIT`` edges, and
+    graphs with no vertex of degree t (no copy of the star to force)."""
+    if t < 2:
+        raise ValueError("star size t must be at least 2")
+    if all(g.degree(v) < t for v in range(g.n)):
+        raise PatternAbsentError(f"pattern absent: no vertex has degree >= {t}")
+    if g.m > DIRECT_EDGE_LIMIT:
+        raise ValueError(
+            f"direct enumeration limited to {DIRECT_EDGE_LIMIT} edges, graph has {g.m}"
+        )
+    m = g.m
+    assign = [0] * m
+    best = 0
+
+    def rainbow_free() -> bool:
+        for v in range(g.n):
+            distinct = {assign[eid] for _, eid in g.adjacency[v]}
+            if len(distinct) >= t:
+                return False
+        return True
+
+    def rec(eid: int, used: int) -> None:
+        nonlocal best
+        if eid == m:
+            if used > best and rainbow_free():
+                best = used
+            return
+        for c in range(used + 1):
+            assign[eid] = c
+            rec(eid + 1, used + (1 if c == used else 0))
+
+    rec(0, 0)
+    del rec  # break the closure's cycle, as optimal_colouring does with dfs
+    return best + 1
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -31,12 +31,7 @@ from qcolour.analysis import (
     matched_colour_map,
     tree_repetition_pairs,
 )
-from qcolour.exact import (
-    ExactResult,
-    anti_ramsey_star,
-    direct_anti_ramsey_star,
-    oracle_optimal,
-)
+from qcolour.exact import ExactResult, anti_ramsey_star
 from qcolour.instances import (
     CertifiedInstance,
     fig5_lower_bound,
@@ -48,6 +43,8 @@ from helpers import (
     check_pair_properties,
     check_star_against_closure,
     connected_graphs_up_to,
+    direct_anti_ramsey_star,
+    oracle_optimal,
     random_graph,
     random_pair_tree,
 )

@@ -11,10 +11,8 @@ from qcolour import (
     PatternAbsentError,
     SearchIncompleteError,
     anti_ramsey_star,
-    direct_anti_ramsey_star,
     matching_based_colouring,
     optimal_colouring,
-    oracle_optimal,
     serialize_graph,
     validate,
 )
@@ -26,7 +24,14 @@ from qcolour.instances import (
     random_triangle_free_with_pm,
     random_with_perfect_matching,
 )
-from helpers import bfs_components, random_graph, relabelled_union
+from helpers import (
+    bfs_components,
+    connected_graphs_up_to,
+    direct_anti_ramsey_star,
+    oracle_optimal,
+    random_graph,
+    relabelled_union,
+)
 
 # SHA-256 over (opt, witness) of every fixture below.  It equals the digest
 # of the search without the slot bound, run over the same breadth-first
@@ -284,6 +289,15 @@ def _component_optima(graphs: list[Graph], q: int, rng: random.Random) -> list[i
     return opts
 
 
+def _check_edge_deletion(graphs: list[Graph], opts: list[int], q: int, rng: random.Random):
+    """Deleting any of three sampled edges moves OPT at budget ``q`` by at
+    most one."""
+    for k, g in enumerate(graphs):
+        for eid in rng.sample(range(g.m), 3):
+            smaller = Graph(g.n, g.edges[:eid] + g.edges[eid + 1 :])
+            assert abs(optimal_colouring(smaller, q).opt - opts[k]) <= 1
+
+
 def test_optimum_obeys_metamorphic_relations_past_the_oracle():
     # Relations that hold for every graph, checked where no enumeration
     # reaches.  OPT is additive over components: split any colouring's
@@ -293,17 +307,16 @@ def test_optimum_obeys_metamorphic_relations_past_the_oracle():
     # vertex's colour count.
     rng = random.Random(2018)
     graphs = list(_metamorphic_graphs())
-    opts = _component_optima(graphs, 2, rng)
-    for k, g in enumerate(graphs):
-        for eid in rng.sample(range(g.m), 3):
-            smaller = Graph(g.n, g.edges[:eid] + g.edges[eid + 1 :])
-            assert abs(optimal_colouring(smaller).opt - opts[k]) <= 1
+    _check_edge_deletion(graphs, _component_optima(graphs, 2, rng), 2, rng)
 
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_components_and_relabelling_keep_the_optimum_at_other_budgets(q):
-    # At q = 3 the search takes seconds at n = 14, so the graphs stop at 12.
-    _component_optima(list(_metamorphic_graphs((10, 12))), q, random.Random(2018 + q))
+    # The same relations at budget q.  At q = 3 the search takes seconds at
+    # n = 14, so the graphs stop at 12.
+    rng = random.Random(2018 + q)
+    graphs = list(_metamorphic_graphs((10, 12)))
+    _check_edge_deletion(graphs, _component_optima(graphs, q, rng), q, rng)
 
 
 def test_budget_is_shared_by_the_components(capsys, tmp_path):
@@ -347,6 +360,23 @@ def test_anti_ramsey_star_sizes_other_than_three():
     g = named("star_4")
     assert direct_anti_ramsey_star(g, 2) == anti_ramsey_star(g, 2)
     assert direct_anti_ramsey_star(g, 4) == anti_ramsey_star(g, 4)
+
+
+def test_the_two_references_agree_with_each_other_and_the_solver():
+    # Each reference otherwise meets the other only through the solver.  The
+    # oracle enumerates partitions valid for budget t - 1; the direct count
+    # enumerates every partition and rejects those with a rainbow t-star.
+    pairs = 0
+    for g in connected_graphs_up_to(5):
+        if g.m > 7:
+            continue
+        for t in (2, 3, 4):
+            if all(g.degree(v) < t for v in range(g.n)):
+                continue
+            direct = direct_anti_ramsey_star(g, t)
+            assert direct == oracle_optimal(g, t - 1) + 1 == anti_ramsey_star(g, t)
+            pairs += 1
+    assert pairs == 1537
 
 
 def test_direct_anti_ramsey_requires_the_pattern():

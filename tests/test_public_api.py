@@ -84,9 +84,7 @@ def test_public_entry_points_make_no_reference_cycles():
         "validate": lambda: q.validate(g, col, 2),
         "optimal_colouring": lambda: q.optimal_colouring(small),
         "optimal_colouring, budgeted": lambda: q.optimal_colouring(g, 2, 1000),
-        "oracle_optimal": lambda: q.oracle_optimal(small),
         "anti_ramsey_star": lambda: q.anti_ramsey_star(small, 2),
-        "direct_anti_ramsey_star": lambda: q.direct_anti_ramsey_star(small, 2),
         "analyse": lambda: analyse(g, m, col),
         "random_with_perfect_matching": lambda: q.random_with_perfect_matching(10, 0.3, 1),
         "random_triangle_free_with_pm": lambda: q.random_triangle_free_with_pm(10, 0.3, 1),

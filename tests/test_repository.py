@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import random
 import re
 import subprocess
 import sys
@@ -127,3 +128,61 @@ def test_comments_blank_lines_and_crlf_endings_do_not_change_the_analysis(capsys
         assert main(["analyze", *(str(folder / name) for name in names)]) == EXIT_OK
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def _plain_and_optimized(args: list[str], out: Path | None) -> list[tuple[int, str, bytes]]:
+    """Exit code, stdout and ``--out`` bytes of ``qcolour.cli args`` under
+    python and under python -O, the two run side by side; with ``out``,
+    each run writes its own ``--out`` file, ``out`` with its own suffix."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONOPTIMIZE", None)
+    runs = []
+    for flags, suffix in (([], ".plain"), (["-O"], ".optimized")):
+        command = [sys.executable, *flags, "-m", "qcolour.cli", *args]
+        written = None if out is None else out.with_suffix(suffix)
+        if written is not None:
+            command += ["--out", str(written)]
+        child = subprocess.Popen(
+            command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+        )
+        runs.append((child, written))
+    results = []
+    for child, written in runs:
+        stdout = child.communicate()[0]
+        results.append((child.returncode, stdout, b"" if written is None else written.read_bytes()))
+    return results
+
+
+def test_output_is_the_same_under_python_O(monkeypatch, tmp_path):
+    # python -O strips asserts and __debug__ blocks, so a check or an output
+    # that rests on them differs between the two runs.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench import inputs
+
+    fig5 = [str(DATA / name) for name in ("fig5.graph", "fig5.matching", "fig5_58.colouring")]
+    # fig5 has one component of G - M and shallow trees.  The bench's
+    # deep-probe path grows one tree of depth 1500, and three fig5 copies
+    # give three components.
+    deep = inputs.write_analyze_inputs(tmp_path / "deep", *inputs.deep_path(1500, random.Random(0)))
+    copies = inputs.fig5_copies(inputs.fig5_template(), 3, random.Random(0))
+    copies = inputs.write_analyze_inputs(tmp_path / "copies", *copies)
+    sparse = tmp_path / "sparse.graph"
+    edges, _ = inputs.sparse_planted_pm(2000, 4.0, random.Random(0))
+    sparse.write_text(inputs.graph_text(2000, edges), encoding="utf-8")
+    cases = [
+        (0, ["sweep", "--family", "pm", "--sizes", "8,10", "--count", "10"]),
+        (0, ["sweep", "--family", "tf", "--sizes", "8,10", "--count", "10"]),
+        (4, ["exact", fig5[0], "--budget", "20000"]),
+        (0, ["analyze", *fig5]),
+        (0, ["analyze", *deep]),
+        (0, ["analyze", *copies]),
+    ]
+    # approx writes a colouring too: compare its stdout and its --out file.
+    # fig5 has h = 1; three fig5 copies leave several components of G - M,
+    # and the sparse graph makes the matching search.
+    approx = [(0, ["approx", graph]) for graph in (fig5[0], copies[0], str(sparse))]
+    for expected, args in cases + approx:
+        out = tmp_path / Path(args[1]).stem if args[0] == "approx" else None
+        plain, optimized = _plain_and_optimized(args, out)
+        assert plain[0] == expected, args
+        assert optimized == plain, args
