@@ -165,7 +165,7 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
         meets[start] += 1
         ends = 0
         while stack:
-            for y, e in adjacency[stack.pop()]:
+            for y, e in adjacency[stack.pop()].items():
                 if colour[e] == c:
                     ends += 1
                     if y not in seen:

@@ -227,7 +227,7 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
             # Each vertex is reached at most once per round, by one search.
             up: dict[int, int] = {}
             for r in sorted(live.union(prev_leaves)):
-                for y, eid in adjacency[r]:
+                for y, eid in adjacency[r].items():
                     if not (eid in in_matching or y in used or vertex_class.get(y) in visited):
                         break
                 else:
@@ -239,7 +239,7 @@ def build_cascading_sequence(dec: ColourDecomposition) -> RootedForestSeq:
                 # leaf ends its branch.
                 queue = [r]
                 for x in queue:
-                    for y, eid in adjacency[x]:
+                    for y, eid in adjacency[x].items():
                         if eid in in_matching or y in used or y in reached:
                             continue
                         cls = vertex_class.get(y)

@@ -58,7 +58,7 @@ class EdgeColouring(Record):
         return cls(g, tuple([relabel.setdefault(v, len(relabel)) for v in values]))
 
     def vertex_colours(self, v: int) -> frozenset[int]:
-        return frozenset(self.colour[eid] for _, eid in self.graph.adjacency[v])
+        return frozenset(self.colour[eid] for eid in self.graph.adjacency[v].values())
 
 
 class ValidityReport(Record):
@@ -96,7 +96,7 @@ def validate(g: Graph, col: EdgeColouring, q: int) -> ValidityReport:
     if col.graph != g:
         raise ValueError("colouring belongs to a different graph")
     colour = col.colour
-    counts = tuple([len({colour[eid] for _, eid in row}) for row in g.adjacency])
+    counts = tuple([len({colour[eid] for eid in row.values()}) for row in g.adjacency])
     first = next((v for v, count in enumerate(counts) if count > q), None)
     return ValidityReport(
         valid=first is None,

@@ -60,7 +60,7 @@ def bfs_edge_order(g: Graph) -> list[int]:
         visited[start] = True
         queue = [start]
         for v in queue:
-            for w, eid in g.adjacency[v]:
+            for w, eid in g.adjacency[v].items():
                 if not listed[eid]:
                     listed[eid] = True
                     order.append(eid)

@@ -28,24 +28,26 @@ class Graph(Record):
     Vertices are ``0..n-1``.  Edges are ``(u, v)`` tuples of ints, read as
     unordered pairs and carried in a fixed order; the position of an edge in
     ``edges`` is its id, and every other structure in this package (subsets,
-    matchings, colourings) refers to edges by that id.  Instances are
-    immutable once constructed.  ``adjacency`` and the edge-id lookup are
-    derived, so neither is compared or shown.
+    matchings, colourings) refers to edges by that id.  ``adjacency[v]``
+    maps each neighbour of ``v`` to the id of their edge, in edge-id order;
+    it is the one index behind :meth:`degree` and :meth:`edge_id`, and it is
+    derived, so it is neither compared nor shown.  Instances are immutable
+    once constructed.  The rows are plain dicts and must not be written: a
+    read-only ``types.MappingProxyType`` around each cost about 4% of an
+    ``approx`` request (``BENCH_adjacency_rows.json``).
     """
 
     _eq = _hash = _repr = ("n", "edges")
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...]
-    _ids: dict[tuple[int, int], int]
+    adjacency: tuple[dict[int, int], ...]
 
     def __init__(self, n, edges) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = tuple(edges)
-        ids: dict[tuple[int, int], int] = {}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for eid, edge in enumerate(edges):
             try:
                 u, v = edge
@@ -57,14 +59,12 @@ class Graph(Record):
                 raise InvalidEdgeError(eid, f"endpoint out of range 0..{n - 1}: ({u}, {v})")
             if u == v:
                 raise InvalidEdgeError(eid, f"is a self-loop at vertex {u}")
-            first = ids.setdefault(edge if u < v else (v, u), eid)
-            if first != eid:
-                raise InvalidEdgeError(eid, f"duplicates edge {first}: ({u}, {v})")
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        # Through a list, so the tuple is made at its final length, as in
-        # matching_based_colouring.
-        super().__init__(n, edges, tuple([tuple(row) for row in adj]), ids)
+            row = adj[u]
+            if v in row:
+                raise InvalidEdgeError(eid, f"duplicates edge {row[v]}: ({u}, {v})")
+            row[v] = eid
+            adj[v][u] = eid
+        super().__init__(n, edges, tuple(adj))
 
     @property
     def m(self) -> int:
@@ -74,8 +74,10 @@ class Graph(Record):
         return len(self.adjacency[v])
 
     def edge_id(self, u: int, v: int) -> int | None:
-        """Id of the edge joining ``u`` and ``v`` (either order), or ``None``."""
-        return self._ids.get((u, v) if u < v else (v, u))
+        """Id of the edge joining ``u`` and ``v`` (either order), or ``None``,
+        also when either is not a vertex."""
+        # Guarded: a negative u would index a row from the end.
+        return self.adjacency[u].get(v) if 0 <= u < self.n else None
 
 
 class EdgeSubset(Record):
@@ -137,8 +139,9 @@ def component_labels(g: Graph, drop: EdgeSubset | None = None) -> list[int]:
             label[s] = s
             reached = [s]
             for v in reached:  # grows while it is read
-                for w, eid in adj[v]:
-                    if label[w] < 0 and eid not in skip:
+                row = adj[v]
+                for w in row:  # the edge id only of an unlabelled neighbour
+                    if label[w] < 0 and row[w] not in skip:
                         label[w] = s
                         reached.append(w)
     return label
@@ -170,13 +173,11 @@ def components(g: Graph, drop: EdgeSubset | None = None) -> list[Component]:
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are pairwise adjacent.
 
-    Each edge checks that its ends share no neighbour.  A vertex of degree
-    at most 1 lies on no triangle, so it gets an empty neighbour set and
-    its edges pass without a look at the other end.
+    Each edge checks that the neighbours of its ends, the keys of their
+    rows, are disjoint.
     """
-    empty: frozenset[int] = frozenset()
-    neighbours = [{v for v, _ in row} if len(row) > 1 else empty for row in g.adjacency]
-    return all(neighbours[u].isdisjoint(neighbours[v]) for u, v in g.edges)
+    keys = [row.keys() for row in g.adjacency]
+    return all(keys[u].isdisjoint(keys[v]) for u, v in g.edges)
 
 
 def record_lines(text: str) -> list[int]:

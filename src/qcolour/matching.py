@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from ._record import Record
 from .graph import EdgeSubset, Graph, read_records, record_lines
 
@@ -63,8 +61,10 @@ def _searcher(g: Graph, match: list[int]):
     The state is allocated once.  Each search resets only the vertices the
     previous one touched, and a contraction relabels only the vertices
     under the blossom's own bases, so a search costs what it reaches, not
-    O(n).  Neighbours are scanned in adjacency order, and the vertices a
-    contraction newly reaches are enqueued in ascending id order.
+    O(n).  The queue is a list read while it grows, first in first out.
+    Neighbours are scanned in adjacency order, the keys of ``v``'s row, and
+    the vertices a contraction newly reaches are enqueued in ascending id
+    order.
     """
     n = g.n
     adj = g.adjacency
@@ -107,13 +107,12 @@ def _searcher(g: Graph, match: list[int]):
         under.clear()
         used[root] = True
         touched.append(root)
-        q: deque[int] = deque([root])
-        while q:
-            v = q.popleft()
+        q = [root]
+        for v in q:  # grows while it is read
             mate_v = match[v]  # match is never written during a search
-            for to, _eid in adj[v]:
-                # base[v] is re-read: a contraction below may move it.
-                if base[v] == base[to] or mate_v == to:
+            base_v = base[v]  # moved only by a contraction, which re-reads it
+            for to in adj[v]:
+                if base_v == base[to] or mate_v == to:
                     continue
                 mate_to = match[to]
                 if to == root or (mate_to != -1 and p[mate_to] != -1):
@@ -132,6 +131,7 @@ def _searcher(g: Graph, match: list[int]):
                                 reached.append(w)
                     reached.sort()
                     q.extend(reached)
+                    base_v = base[v]
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)
@@ -171,7 +171,8 @@ def maximum_matching(g: Graph) -> Matching:
                 match[pv] = end
                 end = nxt
 
-    return Matching.from_edge_ids(g, [g.edge_id(v, w) for v, w in enumerate(match) if v < w])
+    adj = g.adjacency
+    return Matching.from_edge_ids(g, [adj[v][w] for v, w in enumerate(match) if v < w])
 
 
 def is_maximum(g: Graph, m: Matching) -> bool:

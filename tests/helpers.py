@@ -45,7 +45,7 @@ def brute_force_matching_size(g: Graph) -> int:
         if v >= g.n:
             return 0
         best = rec(v + 1, used)  # leave v exposed
-        for w, _eid in g.adjacency[v]:
+        for w in g.adjacency[v]:
             if w not in used:
                 best = max(best, 1 + rec(v + 1, used | {v, w}))
         return best
@@ -75,7 +75,7 @@ def _is_connected(g: Graph) -> bool:
     stack = [0]
     while stack:
         v = stack.pop()
-        for w, _ in g.adjacency[v]:
+        for w in g.adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -93,7 +93,7 @@ def bfs_components(g: Graph, drop: frozenset[int] = frozenset()) -> list[set[int
         comp = {start}
         queue = [start]
         for v in queue:
-            for w, eid in g.adjacency[v]:
+            for w, eid in g.adjacency[v].items():
                 if eid not in drop and w not in comp:
                     comp.add(w)
                     queue.append(w)
@@ -212,7 +212,7 @@ def direct_anti_ramsey_star(g: Graph, t: int) -> int:
 
     def rainbow_free() -> bool:
         for v in range(g.n):
-            distinct = {assign[eid] for _, eid in g.adjacency[v]}
+            distinct = {assign[eid] for eid in g.adjacency[v].values()}
             if len(distinct) >= t:
                 return False
         return True
@@ -428,7 +428,7 @@ def reference_cascade(dec) -> RootedForestSeq:
                     x = queue.popleft()
                     if x != r and x in vertex_class:
                         continue
-                    for y, eid in g.adjacency[x]:
+                    for y, eid in g.adjacency[x].items():
                         if eid in in_matching or y in used or y in reached or y in local:
                             continue
                         cls = vertex_class.get(y)

@@ -653,6 +653,15 @@ def test_rooted_tree_rejects_a_shape_that_is_not_a_tree():
             RootedTree(g, root, {})
 
 
+def test_rooted_tree_rejects_a_child_outside_the_graph():
+    # Vertex 3 is adjacent to 0, so reading -1 as the last vertex would
+    # accept the child -1.
+    g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    for child in (-1, 4, 10**9):
+        with pytest.raises(ValueError, match=f"no edge joins {child} to its parent 0"):
+            RootedTree(g, 0, {0: (child,)})
+
+
 def test_rooted_tree_checks_the_edge_ids_it_is_given():
     # The ids come from Graph.edge_id, whichever way the tree is assembled.
     g = Graph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))

@@ -52,11 +52,22 @@ def test_rejects_edge_that_is_not_a_pair_of_ints(edge):
 def test_adjacency_lists_carry_edge_ids():
     g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
     assert g.degree(1) == 2
-    assert set(g.adjacency[1]) == {(0, 0), (2, 1)}
+    assert dict(g.adjacency[1]) == {0: 0, 2: 1}
     assert g.edge_id(1, 2) == g.edge_id(2, 1) == 1
     assert g.edge_id(0, 3) == g.edge_id(3, 0) == 3
     assert g.edge_id(0, 2) is None
     assert g.edge_id(1, 1) is None
+
+
+def test_edge_id_is_none_for_an_endpoint_outside_the_graph():
+    # Vertex 3 is adjacent to 0, so a lookup that read index -1 as the last
+    # vertex would find a false edge (-1, 0).
+    g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    for u in (-1, -4, -5, 4, 10**9):
+        for v in (0, 3):
+            assert g.edge_id(u, v) is None
+            assert g.edge_id(v, u) is None
+    assert Graph(0, ()).edge_id(0, 0) is None
 
 
 def test_parse_basic_document_with_comments():

@@ -19,6 +19,7 @@ from qcolour import (
 from qcolour.instances import named
 from helpers import (
     brute_force_matching_size,
+    connected_graphs_up_to,
     random_graph,
     sparse_planted_pm_graph,
 )
@@ -134,6 +135,21 @@ def test_maximum_matching_matches_pinned_digest():
         ids = sorted(maximum_matching(g).edges.members)
         digest.update(f"{g.n} {g.m}: {ids}\n".encode())
     assert digest.hexdigest() == PINNED_MATCHING_DIGEST
+
+
+def test_adjacency_rows_list_each_vertex_edges_in_id_order():
+    # The blossom search scans the rows in order, so the pinned digest
+    # rests on this order as much as on the search.
+    for g in [*_pinned_fixtures(), *connected_graphs_up_to(5)]:
+        reference: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for eid, (u, v) in enumerate(g.edges):
+            reference[u].append((v, eid))
+            reference[v].append((u, eid))
+            assert g.edge_id(u, v) == g.edge_id(v, u) == eid
+        for v, row in enumerate(g.adjacency):
+            assert list(row.items()) == reference[v]
+            assert g.degree(v) == len(row)
+        assert len(g.adjacency) == g.n
 
 
 def test_maximum_matching_is_perfect_on_a_large_planted_graph():
@@ -262,3 +278,13 @@ def test_parse_matching_errors(text, message):
     with pytest.raises(MatchingFormatError, match=message) as exc:
         parse_matching(text, g)
     assert re.match(r"line \d+: ", str(exc.value))
+
+
+@pytest.mark.parametrize("text", ["0 9\n", "9 0\n", "-1 0\n", "0 -1\n"])
+def test_parse_matching_rejects_a_vertex_outside_the_graph(text):
+    # On the 4-cycle, vertex 3 is adjacent to 0: reading -1 as the last
+    # vertex would accept "-1 0" as an edge.
+    g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    u, v = text.split()
+    with pytest.raises(MatchingFormatError, match=rf"^line 1: \({u}, {v}\) is not a graph edge$"):
+        parse_matching(text, g)

@@ -88,7 +88,7 @@ def _cases() -> dict:
             lambda: Graph(3, ((0, 1),)),
             ("n", "edges"),
             path3_text,
-            ("adjacency", "_ids"),
+            ("adjacency",),
         ),
         "EdgeSubset": (
             lambda: EdgeSubset(path3(), frozenset({1})),
