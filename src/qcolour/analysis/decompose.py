@@ -180,6 +180,11 @@ def decompose(g: Graph, m: Matching, col: EdgeColouring) -> ColourDecomposition:
     if max(meets) > 2:
         _check_valid(g, col)
 
+    # Grouped here, not by components(g, m.edges): on a deep input about half
+    # the vertices are G minus M singletons, and components would build a
+    # Component for each only for it to be dropped.  At bench.inputs.deep_path(525)
+    # (n = 1,056) that took 1.32 ms against 0.56 ms here; on ten fig5 copies,
+    # 0.49 against 0.53 ms (CPython 3.11, best of 15, Xeon).
     # A component of G minus M is keyed by its label, its least vertex, so
     # the vertex pass meets the components in min-vertex order.
     label = component_labels(g, m.edges)

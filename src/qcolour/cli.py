@@ -335,11 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # Parse/format failures from the loaders.
+    except (OSError, ValueError) as exc:
+        # An unreadable file, or a parse/format failure from the loaders.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -172,6 +172,10 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
     def dfs(i: int, used: int, slots: int) -> None:
         # ``slots`` is S before the i-th edge of the order is assigned.
         nonlocal best_count, nodes, out_of_budget
+        if nodes >= limit:
+            out_of_budget = True
+            return
+        nodes += 1
         if i == end:
             # Only a child that beats the incumbent reaches a leaf.
             best_count = used
@@ -187,10 +191,6 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
         room_u = q - mask_u.bit_count()
         room_v = q - mask_v.bit_count()
         if room_u and room_v and used + (slots >> 1) > best_count:
-            if nodes >= limit:
-                out_of_budget = True
-                return
-            nodes += 1
             assign[i] = used
             bit = 1 << used
             seen[u] = mask_u | bit
@@ -223,10 +223,6 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
             child = base + (kept_u & bit > 0) + (kept_v & bit > 0)
             if used + (child >> 1) <= best_count:
                 continue
-            if nodes >= limit:
-                out_of_budget = True
-                return
-            nodes += 1
             assign[i] = bit.bit_length() - 1
             seen[u] = mask_u | bit
             seen[v] = mask_v | bit
@@ -243,6 +239,7 @@ def optimal_colouring(g: Graph, q: int = 2, budget: int | None = None) -> ExactR
         # Incumbent: the all-one-colour assignment, valid for q >= 1.
         best_count = 1
         if not out_of_budget:
+            nodes -= 1  # dfs counts its calls, and a run's root is no node
             dfs(start, 0, root_slots)
         for i in range(start, end):
             by_id[order[i]] = offset + best_assign[i]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 from ._record import Record
 from .colouring import (
@@ -126,27 +127,23 @@ def fig5_lower_bound() -> CertifiedInstance:
     if not is_perfect(g, m):
         raise ValueError("lower-bound matching must be perfect")
 
-    alg_col, alg_m, h = matching_based_colouring(g)
-    if alg_m.edges != m.edges:
+    inst = _certify(g, "fig5_lower_bound", None, cert)
+    if inst.matching.edges != m.edges:
         raise ValueError("checked-in matching is not the computed maximum matching")
-    if h != 1:
-        raise ValueError(f"expected one residual component, got {h}")
-    if alg_col.num_colours != 37:
-        raise ValueError(f"expected 37 algorithm colours, got {alg_col.num_colours}")
+    if inst.h != 1:
+        raise ValueError(f"expected one residual component, got {inst.h}")
+    if inst.alg_colours != 37:
+        raise ValueError(f"expected 37 algorithm colours, got {inst.alg_colours}")
     if cert.num_colours != 58:
         raise ValueError(f"expected a 58-colour certificate, got {cert.num_colours}")
-
-    return CertifiedInstance(
-        graph=g,
-        matching=m,
-        alg_colouring=alg_col,
-        certified_colouring=cert,
-        generator="fig5_lower_bound",
-        seed=None,
-    )
+    return inst
 
 
-def _certify(g: Graph, generator: str, seed: int) -> CertifiedInstance:
+def _certify(
+    g: Graph, generator: str, seed: int | None, certified: EdgeColouring | None = None
+) -> CertifiedInstance:
+    """``g`` with the algorithm's colouring and maximum matching, which must
+    be perfect, and the optional witness ``certified``."""
     col, m, _ = matching_based_colouring(g)
     if not is_perfect(g, m):
         raise RuntimeError("generator promised a perfect matching")
@@ -154,10 +151,35 @@ def _certify(g: Graph, generator: str, seed: int) -> CertifiedInstance:
         graph=g,
         matching=m,
         alg_colouring=col,
-        certified_colouring=None,
+        certified_colouring=certified,
         generator=generator,
         seed=seed,
     )
+
+
+def _planted(n: int, extra_edge_prob: float, seed: int, generator: str, split) -> CertifiedInstance:
+    """The body of both random families.
+
+    ``split(order)``, given the vertices in shuffled order, returns the
+    planted pairs of a perfect matching and the candidate extra edges
+    (normalised pairs).  Each candidate that is not planted is kept with
+    probability ``extra_edge_prob``, one draw each, in candidate order.
+    The planted edges come first, so :func:`maximum_matching` returns
+    exactly them.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"n must be even and at least 2, got {n}")
+    if not 0.0 <= extra_edge_prob <= 1.0:
+        raise ValueError(f"extra_edge_prob must lie in [0, 1], got {extra_edge_prob}")
+
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    planted, candidates = split(order)
+    pm = sorted((u, v) if u < v else (v, u) for u, v in planted)
+    pm_set = set(pm)
+    extras = [e for e in candidates if e not in pm_set and rng.random() < extra_edge_prob]
+    return _certify(Graph(n, pm + sorted(extras)), generator, seed)
 
 
 def random_with_perfect_matching(
@@ -172,29 +194,10 @@ def random_with_perfect_matching(
     exactly that pairing, which keeps generated instances reproducible
     edge-for-edge.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and at least 2, got {n}")
-    if not 0.0 <= extra_edge_prob <= 1.0:
-        raise ValueError(f"extra_edge_prob must lie in [0, 1], got {extra_edge_prob}")
-
-    rng = random.Random(seed)
-    order = list(range(n))
-    rng.shuffle(order)
-    pm = sorted(
-        (order[2 * i], order[2 * i + 1])
-        if order[2 * i] < order[2 * i + 1]
-        else (order[2 * i + 1], order[2 * i])
-        for i in range(n // 2)
+    return _planted(
+        n, extra_edge_prob, seed, "random_with_perfect_matching",
+        lambda order: (zip(order[0::2], order[1::2]), combinations(range(n), 2)),
     )
-    pm_set = set(pm)
-    extras = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in pm_set and rng.random() < extra_edge_prob
-    ]
-    g = Graph(n, tuple(pm + extras))
-    return _certify(g, "random_with_perfect_matching", seed)
 
 
 def random_triangle_free_with_pm(
@@ -207,33 +210,12 @@ def random_triangle_free_with_pm(
     ``extra_edge_prob``.  Bipartite graphs have no odd cycles, so every
     output is triangle-free.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and at least 2, got {n}")
-    if not 0.0 <= extra_edge_prob <= 1.0:
-        raise ValueError(f"extra_edge_prob must lie in [0, 1], got {extra_edge_prob}")
 
-    rng = random.Random(seed)
-    order = list(range(n))
-    rng.shuffle(order)
-    half = n // 2
-    left, right = order[:half], order[half:]
-    pm = sorted(
-        (left[i], right[i]) if left[i] < right[i] else (right[i], left[i])
-        for i in range(half)
-    )
-    extras = []
-    for i in range(half):
-        for j in range(half):
-            if i == j:
-                continue
-            u, v = left[i], right[j]
-            if u > v:
-                u, v = v, u
-            if rng.random() < extra_edge_prob:
-                extras.append((u, v))
-    extras.sort()
-    g = Graph(n, tuple(pm + extras))
-    return _certify(g, "random_triangle_free_with_pm", seed)
+    def split(order):
+        left, right = order[: n // 2], order[n // 2 :]
+        return zip(left, right), ((u, v) if u < v else (v, u) for u in left for v in right)
+
+    return _planted(n, extra_edge_prob, seed, "random_triangle_free_with_pm", split)
 
 
 _NAMED_PATTERN = re.compile(r"^(path|cycle|complete|star)_(\d+)$")

@@ -13,14 +13,27 @@ from qcolour import (
     GraphFormatError,
     Matching,
     components,
+    is_maximum,
     is_triangle_free,
+    matching_based_colouring,
     maximum_matching,
+    optimal_colouring,
     parse_graph,
+    parse_matching,
     serialize_graph,
+    serialize_matching,
+    validate,
 )
+from qcolour.analysis import analyse
 from qcolour.graph import InvalidEdgeError, component_labels
-from qcolour.instances import named
-from helpers import bfs_components, random_graph, relabelled_union, union_find_components
+from qcolour.instances import fig5_lower_bound, named
+from helpers import (
+    bfs_components,
+    deep_path_instance,
+    random_graph,
+    relabelled_union,
+    union_find_components,
+)
 
 
 def test_rejects_self_loop():
@@ -57,6 +70,53 @@ def test_adjacency_lists_carry_edge_ids():
     assert g.edge_id(0, 3) == g.edge_id(3, 0) == 3
     assert g.edge_id(0, 2) is None
     assert g.edge_id(1, 1) is None
+
+
+class _UnwritableRow(dict):
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("an adjacency row was written")
+
+    __setitem__ = __delitem__ = update = pop = popitem = clear = setdefault = __ior__ = _refuse
+
+
+def _guard_rows(g: Graph) -> None:
+    object.__setattr__(g, "adjacency", tuple(map(_UnwritableRow, g.adjacency)))
+
+
+def test_no_reader_writes_an_adjacency_row():
+    """The rows are plain dicts that the package promises not to write.
+
+    Every reader runs on graphs whose rows refuse writes; afterwards each
+    row must still equal, item for item and in order, a fresh graph's.
+    """
+    fig5 = fig5_lower_bound()
+    deep = deep_path_instance(12, random.Random(5))
+    small = [named("cycle_5"), named("petersen"), random_graph(9, 0.4, random.Random(3))]
+    graphs = [fig5.graph, deep[0], *small]
+    for g in graphs:
+        _guard_rows(g)
+
+    analyse(fig5.graph, fig5.matching, fig5.certified_colouring)
+    analyse(*deep)
+    for g in graphs:
+        m = maximum_matching(g)
+        assert parse_matching(serialize_matching(m), g) == m
+        component_labels(g, m.edges)
+        components(g)
+        col = matching_based_colouring(g)[0]
+        assert validate(g, col, 2).valid
+        assert all(len(col.vertex_colours(v)) <= 2 for v in range(g.n))
+        is_triangle_free(g)
+    for g in small:
+        # Only a matching that is not perfect makes is_maximum search.
+        m = maximum_matching(g)
+        assert is_maximum(g, m)
+        assert not is_maximum(g, Matching.from_edge_ids(g, sorted(m.edges.members)[1:]))
+        optimal_colouring(g)
+
+    for g in graphs:
+        fresh = Graph(g.n, g.edges).adjacency
+        assert [list(row.items()) for row in g.adjacency] == [list(row.items()) for row in fresh]
 
 
 def test_edge_id_is_none_for_an_endpoint_outside_the_graph():

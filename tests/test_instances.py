@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from qcolour import (
     matching_based_colouring,
     maximum_matching,
     parse_graph,
+    serialize_colouring,
     serialize_graph,
     validate,
 )
@@ -185,3 +188,113 @@ def test_generated_graphs_round_trip_through_the_parser():
         random_triangle_free_with_pm(8, 0.4, 2),
     ]:
         assert parse_graph(serialize_graph(inst.graph)) == inst.graph
+
+
+FAMILIES = (random_with_perfect_matching, random_triangle_free_with_pm)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(
+    "n, p, message",
+    [
+        (5, 0.3, "n must be even and at least 2, got 5"),
+        (0, 0.3, "n must be even and at least 2, got 0"),
+        (4, -0.1, "extra_edge_prob must lie in [0, 1], got -0.1"),
+        (4, 1.1, "extra_edge_prob must lie in [0, 1], got 1.1"),
+        (4, math.nan, "extra_edge_prob must lie in [0, 1], got nan"),
+    ],
+)
+def test_random_families_name_the_bad_argument(family, n, p, message):
+    with pytest.raises(ValueError) as info:
+        family(n, p, 0)
+    assert str(info.value) == message
+
+
+# SHA-256 of every ``(n, edges)`` both families generate over the grid of
+# test_random_families_match_pinned_digest, recorded before the two families
+# shared one body: the same arguments must give the same graph, edge for edge.
+PINNED_FAMILY_DIGEST = "1d6932a4efbb83607cca5d59089c4736aa0ca32e244023e2c3624dff3aaca294"
+
+
+def test_random_families_match_pinned_digest():
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        for n in (2, 4, 6, 8, 10, 12):
+            for p in (0.0, 0.2, 0.5, 1.0):
+                for seed in range(5):
+                    g = family(n, p, seed).graph
+                    digest.update(f"{family.__name__} {n} {p} {seed}: {g.n} {g.edges}\n".encode())
+    assert digest.hexdigest() == PINNED_FAMILY_DIGEST
+
+
+def _fig5_documents():
+    names = ("fig5.graph", "fig5.matching", "fig5_58.colouring")
+    load = fig5_lower_bound.__globals__["_load_data"]
+    return {name: load(name) for name in names}
+
+
+def _swap_lines(text, old, new):
+    lines = text.splitlines()
+    for before, after in zip(old, new):
+        lines[lines.index(before)] = after
+    return "\n".join(lines) + "\n"
+
+
+def _drop_edge(docs, eid):
+    """Edge ``eid`` removed from the graph and from the certificate."""
+    graph = docs["fig5.graph"].splitlines()
+    n, m = map(int, graph[0].split())
+    del graph[eid + 1]
+    graph[0] = f"{n} {m - 1}"
+    cert = docs["fig5_58.colouring"].splitlines()
+    del cert[eid]
+    return {
+        **docs,
+        "fig5.graph": "\n".join(graph) + "\n",
+        "fig5_58.colouring": "\n".join(cert) + "\n",
+    }
+
+
+def _fig5_faults():
+    docs = _fig5_documents()
+    alg = matching_based_colouring(fig5_lower_bound().graph)[0]
+    return [
+        (
+            # Two isolated vertices more: the documents still parse.
+            {**docs, "fig5.graph": docs["fig5.graph"].replace("72 107", "74 107", 1)},
+            "lower-bound instance must have 72 vertices, got 74",
+        ),
+        (
+            {**docs, "fig5.matching": "".join(docs["fig5.matching"].splitlines(True)[:-1])},
+            "lower-bound matching must be perfect",
+        ),
+        (
+            # 1-4, 2-5 become 1-2, 4-5 along an alternating 4-cycle: still perfect.
+            {**docs, "fig5.matching": _swap_lines(docs["fig5.matching"], ["1 4", "2 5"], ["1 2", "4 5"])},
+            "checked-in matching is not the computed maximum matching",
+        ),
+        (
+            # Edge 36, the first edge outside the matching, is a bridge of G - M.
+            _drop_edge(docs, 36),
+            "expected one residual component, got 2",
+        ),
+        (
+            {**docs, "fig5_58.colouring": serialize_colouring(alg)},
+            "expected a 58-colour certificate, got 37",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("fault", range(5))
+def test_fig5_names_each_fault_of_its_documents(fault, monkeypatch):
+    """Each document fault is named by its own check.
+
+    The check of the 37 algorithm colours has no document of its own: the
+    algorithm uses |M| + h colours, so a perfect matching on 72 vertices with
+    one residual component always gives 37.
+    """
+    docs, message = _fig5_faults()[fault]
+    monkeypatch.setitem(fig5_lower_bound.__globals__, "_load_data", docs.__getitem__)
+    with pytest.raises(ValueError) as info:
+        fig5_lower_bound()
+    assert str(info.value) == message
